@@ -1,13 +1,14 @@
 //! Checkpoint cost benchmark: full snapshot vs incremental chain delta
 //! as the store grows.
 //!
-//! The claim behind snapshot v3 (`asap_tsdb::chain`): a full snapshot
-//! costs O(total data) every time, while an incremental chain
+//! The claim behind checkpoint chains (`asap_tsdb::chain`): a full
+//! snapshot costs O(total data) every time, while an incremental chain
 //! checkpoint costs O(write activity since the last pass). This bench
 //! measures both on the same stores — for each store size it times (a)
-//! a full `save_sharded` of the whole store and (b) a chain delta
-//! checkpoint covering one fixed-size write batch — so the full column
-//! should grow with store size while the delta column stays flat.
+//! a full `ShardedDb::save` of the whole store (an export: a chain
+//! holding only a base) and (b) a chain delta checkpoint covering one
+//! fixed-size write batch — so the full column should grow with store
+//! size while the delta column stays flat.
 //!
 //! Before any number is trusted, the chain (base + every timed delta)
 //! is folded back through `load_chain` into a fresh store which is
@@ -116,18 +117,19 @@ fn main() {
         // (a) Full snapshot of the whole store — O(total data) by
         // construction, measured to show the scaling the chain avoids.
         let full_path = temp_dir(&format!("full-{series}"));
-        std::fs::create_dir_all(&full_path).unwrap();
-        let full_file = full_path.join("snapshot.bin");
         let full_secs = median(
             (0..runs)
                 .map(|_| {
                     let t = Instant::now();
-                    db.save(&full_file).unwrap();
+                    db.save(&full_path).unwrap();
                     t.elapsed().as_secs_f64()
                 })
                 .collect(),
         );
-        let full_bytes = std::fs::metadata(&full_file).unwrap().len();
+        let full_bytes: u64 = std::fs::read_dir(&full_path)
+            .unwrap()
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .sum();
         std::fs::remove_dir_all(&full_path).ok();
 
         // (b) Incremental chain delta covering one fixed write batch.

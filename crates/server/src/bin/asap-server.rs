@@ -8,9 +8,9 @@
 //!             [--max-subscriptions N]
 //!             [--compact-interval SECS [--compact-jitter SECS]
 //!              [--rollup BUCKET] [--raw-ttl T]]
-//!             [--snapshot PATH] [--snapshot-dir DIR]
+//!             [--snapshot DIR [--checkpoint-interval SECS]
+//!              [--checkpoint-chain-depth N]] [--snapshot-dir DIR]
 //!             [--wal-dir DIR [--fsync always|every=N|interval-ms=N]]
-//!             [--checkpoint-interval SECS [--checkpoint-chain-depth N]]
 //!             [--log-level error|warn|info|debug] [--slow-query-ms N]
 //!             [--self-scrape-interval SECS]
 //! ```
@@ -39,22 +39,23 @@
 //! Durability: `--wal-dir` appends every applied point to a per-shard
 //! write-ahead log (sync cadence set by `--fsync`, default `every=256`)
 //! and replays any log left by a previous run before the listeners
-//! open. With `--snapshot PATH` the path doubles as persistent state:
-//! an existing snapshot is loaded at boot (the WAL tail replays on
-//! top), and the drain-time save becomes a checkpoint that truncates
-//! the covered log generations. See DESIGN.md § Durability.
+//! open. `--snapshot DIR` is always a checkpoint *chain directory*: a
+//! full base plus per-checkpoint deltas holding only the series that
+//! changed, committed by a CRC-guarded manifest. An existing chain is
+//! folded at boot (the WAL tail replays on top; a damaged chain boots
+//! from its loadable prefix and logs one `chain_damaged` warning), and
+//! the drain and every `SNAPSHOT` command checkpoint into it, truncating
+//! the covered log generations. A plain file at `DIR` — a single-file
+//! snapshot from before chains became the only format — is refused. See
+//! DESIGN.md § Durability.
 //!
-//! Online checkpoints: `--checkpoint-interval SECS` upgrades the
-//! `--snapshot` path from a single file to an incremental *chain
-//! directory* (a full base snapshot plus per-checkpoint deltas holding
-//! only the series that changed, committed by a CRC-guarded manifest).
-//! A background thread then checkpoints on jittered ticks while the
-//! server runs, truncating the covered WAL generations each pass — the
-//! log stays bounded without waiting for shutdown, and checkpoint cost
-//! tracks write activity rather than store size.
-//! `--checkpoint-chain-depth N` (default 8) caps the delta links before
-//! a pass re-bases. Requires `--snapshot`; boot loads a chain directory
-//! exactly like a snapshot file.
+//! Online checkpoints: `--checkpoint-interval SECS` adds a background
+//! thread that checkpoints the `--snapshot` chain on jittered ticks
+//! while the server runs — the log stays bounded without waiting for
+//! shutdown, and checkpoint cost tracks write activity rather than
+//! store size. It changes when the chain advances, not what the path
+//! is. `--checkpoint-chain-depth N` (default 8) caps the delta links
+//! before a pass re-bases.
 //!
 //! Observability: `METRICS` on the query port returns Prometheus text
 //! exposition of the same registry `STATS` reads. `--log-level` sets
@@ -71,8 +72,8 @@ use asap_server::{
     CheckpointConfig, CompactionClock, CompactionConfig, CoreMode, Server, ServerConfig,
 };
 use asap_tsdb::{
-    obs, Aggregator, FsyncPolicy, IngestConfig, LogLevel, RetentionPolicy, RollupLevel, Schedule,
-    ShardedConfig, ShardedDb, WalConfig,
+    load_chain_with_report, obs, Aggregator, FsyncPolicy, IngestConfig, LogLevel,
+    RetentionPolicy, RollupLevel, Schedule, ShardedConfig, ShardedDb, WalConfig,
 };
 
 const USAGE: &str = "usage: asap-server [--ingest ADDR] [--query ADDR] [--shards N] \
@@ -81,9 +82,9 @@ const USAGE: &str = "usage: asap-server [--ingest ADDR] [--query ADDR] [--shards
                      [--sub-window N] [--sub-resolution N] [--sub-every N] \
                      [--max-subscriptions N] \
                      [--compact-interval SECS [--compact-jitter SECS] [--rollup BUCKET] \
-                     [--raw-ttl T]] [--snapshot PATH] [--snapshot-dir DIR] \
+                     [--raw-ttl T]] [--snapshot DIR [--checkpoint-interval SECS] \
+                     [--checkpoint-chain-depth N]] [--snapshot-dir DIR] \
                      [--wal-dir DIR [--fsync always|every=N|interval-ms=N]] \
-                     [--checkpoint-interval SECS [--checkpoint-chain-depth N]] \
                      [--log-level error|warn|info|debug] [--slow-query-ms N] \
                      [--self-scrape-interval SECS]";
 
@@ -216,25 +217,20 @@ fn main() {
         fsync: fsync.unwrap_or_default(),
     });
 
-    // `--checkpoint-interval` turns the `--snapshot` path into an
-    // incremental chain directory maintained online: the background
-    // scheduler (and the drain) checkpoint into the chain, so the
-    // single-file drain-time save is replaced, not duplicated.
+    // `--snapshot` is the chain directory the drain and `SNAPSHOT`
+    // checkpoint into; `--checkpoint-interval` only adds the background
+    // schedule.
     if checkpoint_interval.is_some() && snapshot.is_none() {
         fail("--checkpoint-interval needs --snapshot (the chain directory)");
     }
-    let checkpoint = checkpoint_interval.map(|secs| CheckpointConfig {
-        dir: snapshot.clone().expect("checked above"),
-        schedule: Schedule::every(Duration::from_secs(secs))
-            .with_jitter(Duration::from_secs(secs / 10)),
+    let checkpoint = snapshot.clone().map(|dir| CheckpointConfig {
+        dir,
+        schedule: checkpoint_interval.map(|secs| {
+            Schedule::every(Duration::from_secs(secs)).with_jitter(Duration::from_secs(secs / 10))
+        }),
         seed: 0xc4ec,
         chain_depth: checkpoint_chain_depth,
     });
-    let final_snapshot = if checkpoint.is_some() {
-        None
-    } else {
-        snapshot.clone()
-    };
 
     let defaults = ServerConfig::default();
     let config = ServerConfig {
@@ -247,7 +243,6 @@ fn main() {
             ..IngestConfig::default()
         },
         compaction,
-        final_snapshot,
         snapshot_dir,
         wal,
         checkpoint,
@@ -266,17 +261,35 @@ fn main() {
     };
     // Raise/lower the log threshold before anything can emit a line.
     obs::set_log_level(log_level.unwrap_or(LogLevel::Info));
-    // `--snapshot` doubles as persistent state: an existing snapshot is
-    // the checkpoint base, and `Server::start` replays the WAL tail on
-    // top of it before the listeners open.
+    // Boot from the `--snapshot` chain, then `Server::start` replays the
+    // WAL tail on top of it before the listeners open. The fold is
+    // lenient — a damaged chain boots from its loadable prefix, since
+    // the WAL still holds whatever the manifest does not cover — but
+    // the damage is logged, never silent.
     let store_config = ShardedConfig::new(shards, block_capacity);
     let db = match &snapshot {
-        Some(path) if path.exists() => match ShardedDb::load(path, store_config) {
-            Ok(db) => {
-                obs::info("server", "snapshot_loaded", &[("path", &path.display())]);
+        Some(dir) if dir.exists() => match load_chain_with_report(dir, store_config) {
+            Ok((db, report)) => {
+                if let Some(damage) = &report.damage {
+                    obs::warn(
+                        "server",
+                        "chain_damaged",
+                        &[
+                            ("path", &dir.display()),
+                            ("links_loaded", &report.links_loaded),
+                            ("links_total", &report.links_total),
+                            ("damage", damage),
+                        ],
+                    );
+                }
+                obs::info(
+                    "server",
+                    "snapshot_loaded",
+                    &[("path", &dir.display()), ("links", &report.links_loaded)],
+                );
                 db
             }
-            Err(e) => fail(&format!("cannot load snapshot {}: {e}", path.display())),
+            Err(e) => fail(&format!("cannot load --snapshot {}: {e}", dir.display())),
         },
         _ => ShardedDb::with_config(store_config),
     };
@@ -336,10 +349,6 @@ fn main() {
         );
     }
     let mut failed = false;
-    if let Some(e) = report.final_snapshot_error {
-        obs::error("server", "final_snapshot_failed", &[("error", &e)]);
-        failed = true;
-    }
     // The drain ends with one final checkpoint on chain-configured
     // servers; a populated `last_error` means that final pass failed.
     if let Some(e) = report.checkpoint.last_error {

@@ -20,21 +20,23 @@
 //! generation per shard — the log stops growing with uptime.
 //!
 //! The thread's lifecycle is tied to the server's: spawned by
-//! [`crate::Server::start`], joined during the drain after every ingest
-//! connection has flushed; the drain then takes one final checkpoint so
-//! the shutdown state lands in the chain too.
+//! [`crate::Server::start`] only when [`crate::CheckpointConfig::schedule`]
+//! is set, joined during the drain after every ingest connection has
+//! flushed; the drain then takes one final checkpoint so the shutdown
+//! state lands in the chain too (with or without this thread).
 
-use asap_tsdb::obs;
+use asap_tsdb::{obs, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::server::{CheckpointConfig, Shared};
+use crate::server::Shared;
 
-/// The checkpoint scheduler thread body.
-pub(crate) fn run(shared: &Shared, config: &CheckpointConfig) {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+/// The checkpoint scheduler thread body: one pass per `schedule` tick,
+/// jitter drawn from an RNG seeded with `seed`.
+pub(crate) fn run(shared: &Shared, schedule: &Schedule, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
     loop {
-        let delay = config.schedule.next_delay(&mut rng);
+        let delay = schedule.next_delay(&mut rng);
         if shared.wait_drain_timeout(delay) {
             break;
         }

@@ -146,8 +146,10 @@ pub enum Command {
     /// `HEALTH` — a single-line liveness summary (`OK healthy ...`, or
     /// `DEGRADED ...` while a subsystem's latest pass is failing).
     Health,
-    /// `SNAPSHOT <name>` — write a v2 snapshot of the whole store into
-    /// the server's configured snapshot directory.
+    /// `SNAPSHOT <name>` — advance the server's checkpoint chain (if
+    /// one is configured), then export the whole store as a one-base
+    /// chain directory inside the server's configured snapshot
+    /// directory.
     Snapshot {
         /// Destination relative to the snapshot directory; the server
         /// refuses absolute paths and `..` components.

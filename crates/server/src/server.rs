@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use asap_core::Asap;
 use asap_tsdb::obs::{self, MetricSample};
 use asap_tsdb::{
-    checkpoint_sharded, pipeline_ingest, ApplyHook, ChainCheckpointReport, CheckpointChain,
+    pipeline_ingest, ApplyHook, ChainCheckpointReport, CheckpointChain,
     CompactionReport, Counter, Histogram, IngestConfig, IngestMetrics, IngestReport, ObsRegistry,
     RangeQuery, RetentionPolicy, Schedule, Selector, ShardedDb, SnapshotError, StreamProgress,
     TsdbError, Wal, WalConfig, WalMetrics, WalReplayReport, ROLLUP_TAG, SELF_TAG,
@@ -70,28 +70,23 @@ pub struct ServerConfig {
     pub default_ts: i64,
     /// Background compaction; `None` disables the scheduler thread.
     pub compaction: Option<CompactionConfig>,
-    /// Where to write a final snapshot during shutdown, after every
-    /// connection has drained (`None` skips it).
-    pub final_snapshot: Option<PathBuf>,
     /// Write-ahead log directory + fsync policy (`None` disables
     /// durability). When set, [`Server::start`] first replays any
     /// existing log files into the store (crash recovery — pair it with
-    /// loading the matching `final_snapshot` beforehand), then opens a
+    /// folding the matching checkpoint chain beforehand), then opens a
     /// fresh log generation that every ingest connection appends applied
-    /// points to. The drain-time final snapshot becomes a *checkpoint*:
-    /// rotate the log, save, then discard the covered generations.
-    /// Client-issued `SNAPSHOT <name>` exports never truncate the log —
-    /// only the snapshot recovery actually boots from may.
+    /// points to. Only chain checkpoints discard log generations, and
+    /// only the ones the chain's committed manifest covers.
     pub wal: Option<WalConfig>,
-    /// Background incremental checkpoints; `None` disables the
-    /// checkpoint scheduler thread and the on-disk chain. When set, the
-    /// server maintains a [`CheckpointChain`] in the configured
-    /// directory: each scheduled pass rotates the WAL, writes only the
+    /// The on-disk checkpoint chain; `None` keeps no durable snapshot.
+    /// When set, the server maintains a [`CheckpointChain`] in the
+    /// configured directory: every pass rotates the WAL, writes only the
     /// series that changed since the previous pass, commits the chain
     /// manifest, and discards the covered log generations — so both the
     /// log and the checkpoint cost stay bounded by write activity. The
-    /// drain-time final snapshot and client `SNAPSHOT` commands go
-    /// through the same chain (see [`Server::shutdown`]).
+    /// drain takes one final pass (see [`Server::shutdown`]), client
+    /// `SNAPSHOT` commands take one each, and
+    /// [`CheckpointConfig::schedule`] optionally adds background passes.
     pub checkpoint: Option<CheckpointConfig>,
     /// Directory `SNAPSHOT <name>` targets resolve inside. `None`
     /// (the default) disables the command: the query port may be bound
@@ -161,7 +156,6 @@ impl Default for ServerConfig {
             ingest: IngestConfig::default(),
             default_ts: 0,
             compaction: None,
-            final_snapshot: None,
             wal: None,
             checkpoint: None,
             snapshot_dir: None,
@@ -208,18 +202,18 @@ impl Default for CompactionConfig {
     }
 }
 
-/// What the background checkpoint scheduler runs and when: the on-disk
-/// incremental chain plus the tick plan driving it.
+/// The on-disk checkpoint chain and, optionally, the background tick
+/// plan driving it.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// The chain directory ([`CheckpointChain::open`] creates it).
-    /// Recovery loads it like any snapshot path —
-    /// [`asap_tsdb::recover_sharded`] and `ShardedDb::load` dispatch on
-    /// directories transparently.
+    /// Recovery folds it with [`asap_tsdb::load_chain_with_report`] (or
+    /// [`asap_tsdb::recover_sharded`]).
     pub dir: PathBuf,
-    /// Tick plan: base interval plus jitter (see
-    /// [`asap_tsdb::Schedule`]).
-    pub schedule: Schedule,
+    /// Background tick plan: base interval plus jitter (see
+    /// [`asap_tsdb::Schedule`]). `None` spawns no scheduler thread; the
+    /// chain then advances only on `SNAPSHOT` and at the drain.
+    pub schedule: Option<Schedule>,
     /// Seed of the scheduler's jitter RNG — fixed so a server's tick
     /// plan is reproducible run to run.
     pub seed: u64,
@@ -233,8 +227,9 @@ impl Default for CheckpointConfig {
     fn default() -> Self {
         Self {
             dir: PathBuf::from("checkpoints"),
-            schedule: Schedule::every(Duration::from_secs(300))
-                .with_jitter(Duration::from_secs(15)),
+            schedule: Some(
+                Schedule::every(Duration::from_secs(300)).with_jitter(Duration::from_secs(15)),
+            ),
             seed: 0,
             chain_depth: 8,
         }
@@ -443,9 +438,6 @@ pub struct ServerReport {
     /// Checkpoint totals at shutdown, the drain-time final checkpoint
     /// included (zeroes when no chain was configured).
     pub checkpoint: CheckpointStats,
-    /// Rendering of the final-snapshot failure, if one was requested
-    /// and failed (the drain still completes).
-    pub final_snapshot_error: Option<String>,
     /// Rendering of the drain-time WAL seal failure, if a WAL was
     /// configured and the final flush+fsync failed.
     pub wal_seal_error: Option<String>,
@@ -1045,7 +1037,9 @@ impl Server {
             compaction.schedule.validate()?;
         }
         if let Some(checkpoint) = &config.checkpoint {
-            checkpoint.schedule.validate()?;
+            if let Some(schedule) = &checkpoint.schedule {
+                schedule.validate()?;
+            }
             if checkpoint.chain_depth == 0 {
                 return Err(TsdbError::InvalidParameter {
                     name: "chain_depth",
@@ -1057,8 +1051,8 @@ impl Server {
         // Recover, then open: replay any WAL left by a prior run into
         // the store before the listeners exist (no ingest races replay),
         // then start a fresh log generation for this run's appends. The
-        // caller pre-loads the matching snapshot into `db`, so replay
-        // only adds the tail (snapshot overlap is skipped).
+        // caller pre-folds the matching chain into `db`, so replay only
+        // adds the tail (chain overlap is skipped).
         let mut wal = None;
         let mut wal_replay = WalReplayReport::default();
         if let Some(wal_config) = &config.wal {
@@ -1079,6 +1073,7 @@ impl Server {
                     .map_err(|e| match e {
                         SnapshotError::Io(e) => ServerError::Io(e),
                         SnapshotError::Tsdb(e) => ServerError::Config(e),
+                        invalid => ServerError::Io(std::io::Error::other(invalid)),
                     })?,
             );
         }
@@ -1094,7 +1089,10 @@ impl Server {
         let ingest_addr = ingest_listener.local_addr()?;
         let query_addr = query_listener.local_addr()?;
         let compaction = config.compaction.clone();
-        let checkpoint_config = config.checkpoint.clone();
+        let checkpoint_schedule = config
+            .checkpoint
+            .as_ref()
+            .and_then(|cfg| cfg.schedule.map(|schedule| (schedule, cfg.seed)));
         let self_scrape = config.self_scrape;
         let core = config.core;
         let shared = Arc::new(Shared::new(db, config, wal, wal_replay, chain));
@@ -1107,9 +1105,9 @@ impl Server {
             let s = Arc::clone(&shared);
             std::thread::spawn(move || scheduler::run(&s, &cfg))
         });
-        let checkpoint_thread = checkpoint_config.map(|cfg| {
+        let checkpoint_thread = checkpoint_schedule.map(|(schedule, seed)| {
             let s = Arc::clone(&shared);
-            std::thread::spawn(move || checkpoint::run(&s, &cfg))
+            std::thread::spawn(move || checkpoint::run(&s, &schedule, seed))
         });
         let scrape_thread = self_scrape.map(|interval| {
             let s = Arc::clone(&shared);
@@ -1194,8 +1192,8 @@ impl Server {
 
     /// Gracefully stops the server now: stops accepting, lets every
     /// ingest connection flush its reorder buffers via `finish()`, stops
-    /// the compaction scheduler, writes the final snapshot if
-    /// configured, and returns the final report.
+    /// the compaction scheduler, takes the final chain checkpoint if a
+    /// chain is configured, and returns the final report.
     pub fn shutdown(self) -> ServerReport {
         self.drain()
     }
@@ -1208,8 +1206,8 @@ impl Server {
         // the core's I/O threads (the threaded accept loops join every
         // handler; event workers exit after finalizing); (3) the
         // scheduler observed the flag via the condvar — join it; (4) with
-        // all writers drained and the compactor stopped, write the final
-        // snapshot; (5) assemble the report (gauges now zero).
+        // all writers drained and the compactor stopped, take the final
+        // chain checkpoint; (5) assemble the report (gauges now zero).
         self.shared.begin_drain();
         for handle in self.io_threads.drain(..) {
             let _ = handle.join();
@@ -1237,23 +1235,8 @@ impl Server {
             let _gate = self.shared.snapshot_gate();
             let _ = self.shared.run_checkpoint();
         }
-        let mut final_snapshot_error = None;
-        if let Some(path) = self.shared.config.final_snapshot.clone() {
-            let _gate = self.shared.snapshot_gate();
-            let saved = match &self.shared.wal {
-                // With a WAL, the final snapshot is a checkpoint:
-                // rotate → save → discard the covered generations, so
-                // the snapshot plus the surviving log tail stays a
-                // complete recovery set whatever step a crash hits.
-                Some(wal) => checkpoint_sharded(&self.shared.db, &path, wal).map(|_| ()),
-                None => self.shared.db.save(&path),
-            };
-            if let Err(e) = saved {
-                final_snapshot_error = Some(e.to_string());
-            }
-        }
         // Seal the log last (flush + fsync every shard): whatever the
-        // snapshot outcome, everything ingested this run is on disk.
+        // checkpoint outcome, everything ingested this run is on disk.
         let mut wal_seal_error = None;
         if let Some(wal) = &self.shared.wal {
             if let Err(e) = wal.seal() {
@@ -1274,7 +1257,6 @@ impl Server {
                 .lock()
                 .expect("checkpoint stats poisoned")
                 .clone(),
-            final_snapshot_error,
             wal_seal_error,
             query_rejected_connections: self.shared.query_rejected.load(Ordering::Acquire),
         }
@@ -1343,8 +1325,14 @@ fn check_grid(start: i64, end: i64, bucket: i64) -> Result<(), String> {
 /// filesystem paths: the command is refused outright when no directory
 /// is configured, and the name must be relative with plain components
 /// only (no `..`, no root) so the resolved path cannot escape the
-/// directory.
-fn resolve_snapshot_path(dir: Option<&Path>, name: &str) -> Result<PathBuf, String> {
+/// directory. The server's own checkpoint `chain` directory is refused
+/// too: an export re-bases the chain it lands in under a fresh chain
+/// id, which would orphan the live chain's links.
+fn resolve_snapshot_path(
+    dir: Option<&Path>,
+    chain: Option<&Path>,
+    name: &str,
+) -> Result<PathBuf, String> {
     let Some(dir) = dir else {
         return Err(
             "SNAPSHOT is disabled: the server was started without a snapshot directory \
@@ -1363,7 +1351,16 @@ fn resolve_snapshot_path(dir: Option<&Path>, name: &str) -> Result<PathBuf, Stri
              directory (no absolute paths, no `..`)"
         ));
     }
-    Ok(dir.join(requested))
+    let target = dir.join(requested);
+    let is_chain = chain.is_some_and(|chain| {
+        matches!((target.canonicalize(), chain.canonicalize()), (Ok(a), Ok(b)) if a == b)
+    });
+    if is_chain {
+        return Err(format!(
+            "snapshot target `{name}` is the server's checkpoint chain directory"
+        ));
+    }
+    Ok(target)
 }
 
 /// Executes one request line; returns the response and whether the
@@ -1495,8 +1492,9 @@ fn dispatch(
         Command::Metrics => (render_metrics(shared), false, 0, Duration::ZERO),
         Command::Health => (render_health(shared), false, 0, Duration::ZERO),
         Command::Snapshot { path } => {
+            let chain = shared.config.checkpoint.as_ref().map(|c| c.dir.as_path());
             let target =
-                match resolve_snapshot_path(shared.config.snapshot_dir.as_deref(), &path) {
+                match resolve_snapshot_path(shared.config.snapshot_dir.as_deref(), chain, &path) {
                     Ok(target) => target,
                     Err(e) => return fail(e),
                 };
@@ -1539,38 +1537,16 @@ fn dispatch(
 }
 
 /// The work behind a client `SNAPSHOT <name>`, run under the snapshot
-/// gate the caller holds. What "snapshot" means depends on the
-/// durability configuration — with a WAL, a plain export alone would
-/// leave the operator's freshest on-disk state out of the recovery set,
-/// so the command advances the real checkpoint wherever one exists:
-///
-/// * **No WAL** — the named export *is* the durable state; save it.
-/// * **WAL + checkpoint chain** — run a real incremental checkpoint
-///   (rotate → delta → manifest → discard covered generations), then
-///   write the named export as a bonus standalone copy.
-/// * **WAL + boot snapshot, no chain** — recovery boots from
-///   [`ServerConfig::final_snapshot`] plus the log tail, so refresh
-///   *that* file under one rotation boundary before any generation is
-///   discarded; the named export rides along under the same boundary.
-/// * **WAL only** — recovery replays the log from the start, so nothing
-///   may be discarded: the named export stays a plain copy.
+/// gate the caller holds: advance the checkpoint chain if one is
+/// configured (rotate → link → manifest → discard covered WAL
+/// generations), then write the named export — a chain holding only a
+/// base. Without a chain the export is a plain copy and no log
+/// generation is discarded: recovery then replays the whole log.
 fn snapshot_command(shared: &Shared, target: &Path) -> Result<(), String> {
-    let err = |e: SnapshotError| e.to_string();
-    let Some(wal) = &shared.wal else {
-        return shared.db.save(target).map_err(err);
-    };
     if shared.has_chain() {
         shared.run_checkpoint()?;
-        return shared.db.save(target).map_err(err);
     }
-    if let Some(boot) = shared.config.final_snapshot.clone() {
-        let boundary = wal.rotate().map_err(|e| e.to_string())?;
-        shared.db.save(&boot).map_err(err)?;
-        shared.db.save(target).map_err(err)?;
-        wal.discard_before(boundary).map_err(|e| e.to_string())?;
-        return Ok(());
-    }
-    shared.db.save(target).map_err(err)
+    shared.db.save(target).map_err(|e| e.to_string())
 }
 
 /// Hides server-internal series from `RANGE` / `SMOOTH` / `SUBSCRIBE`
@@ -1884,16 +1860,16 @@ mod tests {
 
     #[test]
     fn snapshot_targets_are_confined_to_the_configured_directory() {
-        let err = resolve_snapshot_path(None, "a.bin").unwrap_err();
+        let err = resolve_snapshot_path(None, None, "a.bin").unwrap_err();
         assert!(err.contains("disabled"), "{err}");
 
         let dir = Path::new("/var/lib/asap/snapshots");
         assert_eq!(
-            resolve_snapshot_path(Some(dir), "a.bin").unwrap(),
+            resolve_snapshot_path(Some(dir), None, "a.bin").unwrap(),
             dir.join("a.bin")
         );
         assert_eq!(
-            resolve_snapshot_path(Some(dir), "nested/a.bin").unwrap(),
+            resolve_snapshot_path(Some(dir), None, "nested/a.bin").unwrap(),
             dir.join("nested/a.bin")
         );
         for bad in [
@@ -1903,9 +1879,25 @@ mod tests {
             "..",
             "./a.bin",
         ] {
-            let err = resolve_snapshot_path(Some(dir), bad)
+            let err = resolve_snapshot_path(Some(dir), None, bad)
                 .expect_err(&format!("`{bad}` was accepted"));
             assert!(err.contains("relative path"), "`{bad}` -> {err}");
         }
+
+        // The server's own chain directory is no export target, however
+        // it is spelled; its siblings still are.
+        let root = std::env::temp_dir().join(format!("asap_snap_confine_{}", std::process::id()));
+        let chain = root.join("chain");
+        std::fs::create_dir_all(&chain).unwrap();
+        for name in ["chain", "chain/"] {
+            let err = resolve_snapshot_path(Some(&root), Some(&chain), name)
+                .expect_err(&format!("`{name}` was accepted"));
+            assert!(err.contains("checkpoint chain"), "`{name}` -> {err}");
+        }
+        assert_eq!(
+            resolve_snapshot_path(Some(&root), Some(&chain), "export").unwrap(),
+            root.join("export")
+        );
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -444,7 +444,7 @@ fn health_degrades_when_a_background_checkpoint_fails() {
             ingest: IngestConfig::default(),
             checkpoint: Some(CheckpointConfig {
                 dir: chain_dir.clone(),
-                schedule: Schedule::every(Duration::from_millis(25)),
+                schedule: Some(Schedule::every(Duration::from_millis(25))),
                 seed: 7,
                 chain_depth: 4,
             }),

@@ -5,6 +5,8 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use asap_core::Asap;
@@ -12,7 +14,7 @@ use asap_server::{
     protocol, CheckpointConfig, CompactionClock, CompactionConfig, CoreMode, Server, ServerConfig,
 };
 use asap_tsdb::{
-    line_protocol, smooth, Aggregator, Compactor, DataPoint, FsyncPolicy, IngestConfig, RangeQuery,
+    line_protocol, smooth, Aggregator, CheckpointChain, Compactor, DataPoint, FsyncPolicy, IngestConfig, RangeQuery,
     RetentionPolicy, RollupLevel, Schedule, Selector, SeriesKey, ShardedConfig, ShardedDb, Tsdb,
     TsdbConfig, WalConfig, ROLLUP_TAG,
 };
@@ -358,7 +360,7 @@ fn graceful_shutdown_flushes_reorder_buffers_of_open_connections() {
 /// (`m v=9 99` cut out of `m v=9 990\n` parses as a valid point with a
 /// wrong timestamp). The drain must abort — applying every complete
 /// line and flushing reorder buffers, but discarding that tail —
-/// instead of finishing it into the store and the final snapshot.
+/// instead of finishing it into the store and the final checkpoint.
 #[test]
 fn drain_discards_the_partial_trailing_line_of_open_connections() {
     let server = Server::start(
@@ -548,7 +550,7 @@ fn query_connection_cap_rejects_excess_clients() {
     server.shutdown();
 }
 
-/// `SNAPSHOT` writes a loadable v2 snapshot equal to the live store —
+/// `SNAPSHOT` writes a loadable export equal to the live store —
 /// confined to the configured snapshot directory; escaping targets are
 /// refused.
 #[test]
@@ -571,7 +573,7 @@ fn snapshot_command_round_trips_the_store() {
 
     let path = std::env::temp_dir().join(&name);
     let restored = ShardedDb::load(&path, ShardedConfig::new(5, 16)).unwrap();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
     assert_eq!(
         restored.query_selector(&Selector::any(), full()).unwrap(),
         server.db().query_selector(&Selector::any(), full()).unwrap()
@@ -667,13 +669,18 @@ fn background_scheduler_compacts_like_serial_compactor() {
 /// returns the final report — the binary's lifecycle.
 #[test]
 fn shutdown_command_ends_run() {
+    let path = std::env::temp_dir().join(format!("asap_server_final_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(2, 16)),
         ServerConfig {
-            final_snapshot: Some(std::env::temp_dir().join(format!(
-                "asap_server_final_{}.bin",
-                std::process::id()
-            ))),
+            // A chain without a background schedule: only the drain
+            // checkpoints into it.
+            checkpoint: Some(CheckpointConfig {
+                dir: path.clone(),
+                schedule: None,
+                ..CheckpointConfig::default()
+            }),
             ..ServerConfig::default()
         },
     )
@@ -690,12 +697,12 @@ fn shutdown_command_ends_run() {
 
     let final_report = runner.join().unwrap();
     assert_eq!(final_report.ingest.points, 2);
-    assert_eq!(final_report.final_snapshot_error, None);
+    assert_eq!(final_report.checkpoint.runs, 1);
+    assert_eq!(final_report.checkpoint.last_error, None);
 
-    // The final snapshot captured the drained store.
-    let path = std::env::temp_dir().join(format!("asap_server_final_{}.bin", std::process::id()));
+    // The drain's final checkpoint captured the drained store.
     let restored = ShardedDb::load(&path, ShardedConfig::new(2, 16)).unwrap();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
     assert_eq!(
         restored.query_selector(&Selector::any(), full()).unwrap(),
         db.query_selector(&Selector::any(), full()).unwrap()
@@ -817,9 +824,9 @@ fn snapshot_with_a_chain_checkpoints_and_truncates_the_wal() {
         }),
         checkpoint: Some(CheckpointConfig {
             dir: chain_dir.clone(),
-            // An idle schedule: this test drives checkpoints through
-            // SNAPSHOT and the drain, not the background thread.
-            schedule: Schedule::every(Duration::from_secs(3600)),
+            // No schedule: this test drives checkpoints through
+            // SNAPSHOT and the drain, not a background thread.
+            schedule: None,
             seed: 1,
             chain_depth: 4,
         }),
@@ -920,8 +927,9 @@ fn background_checkpoints_bound_the_wal_at_steady_state() {
         }),
         checkpoint: Some(CheckpointConfig {
             dir: chain_dir.clone(),
-            schedule: Schedule::every(Duration::from_millis(40))
-                .with_jitter(Duration::from_millis(10)),
+            schedule: Some(
+                Schedule::every(Duration::from_millis(40)).with_jitter(Duration::from_millis(10)),
+            ),
             seed: 7,
             chain_depth: DEPTH,
         }),
@@ -986,6 +994,116 @@ fn background_checkpoints_bound_the_wal_at_steady_state() {
     assert_eq!(second.wal_replay_report().applied, 0);
     assert_eq!(query(second.query_addr(), range_cmd), expect);
     second.shutdown();
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A spawned `asap-server`, killed on drop so a failing test never
+/// leaves it running.
+struct ServerProcess(Child);
+
+impl Drop for ServerProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawns the `asap-server` binary on ephemeral ports and forwards its
+/// stderr (the structured log) line by line.
+fn spawn_server_bin(args: &[&str]) -> (ServerProcess, mpsc::Receiver<String>) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_asap-server"))
+        .args(["--ingest", "127.0.0.1:0", "--query", "127.0.0.1:0"])
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn asap-server");
+    let stderr = child.stderr.take().expect("piped stderr");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines() {
+            let Ok(line) = line else { break };
+            if tx.send(line).is_err() {
+                break;
+            }
+        }
+    });
+    (ServerProcess(child), rx)
+}
+
+/// Booting `asap-server` from `--snapshot`: a damaged chain boots from
+/// its loadable prefix and says so in one structured warning, and a
+/// plain file — a retired single-file snapshot — is refused with a
+/// message naming the format change.
+#[test]
+fn server_binary_reports_chain_damage_and_refuses_single_file_snapshots() {
+    let base = std::env::temp_dir().join(format!("asap_bootdmg_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let chain_dir = base.join("chain");
+
+    // A two-link chain (40 points in the base, 20 more in the delta)
+    // whose delta is then torn in half.
+    let key = SeriesKey::metric("cpu").with_tag("host", "a");
+    let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
+    let mut chain = CheckpointChain::open(&chain_dir, 8).unwrap();
+    for t in 0..40 {
+        db.write(&key, DataPoint::new(t, t as f64)).unwrap();
+    }
+    chain.checkpoint(&db, None).unwrap();
+    for t in 40..60 {
+        db.write(&key, DataPoint::new(t, t as f64)).unwrap();
+    }
+    assert_eq!(chain.checkpoint(&db, None).unwrap().links, 2);
+    let delta = std::fs::read_dir(&chain_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("delta-"))
+        .expect("the delta link");
+    let bytes = std::fs::read(&delta).unwrap();
+    std::fs::write(&delta, &bytes[..bytes.len() / 2]).unwrap();
+
+    let (mut child, lines) =
+        spawn_server_bin(&["--shards", "2", "--snapshot", chain_dir.to_str().unwrap()]);
+    let mut warning = None;
+    let query_addr: SocketAddr = loop {
+        let line = lines
+            .recv_timeout(Duration::from_secs(30))
+            .expect("asap-server boot output");
+        if line.contains("event=chain_damaged") {
+            warning = Some(line.clone());
+        }
+        if line.contains("event=listening") {
+            break line
+                .split_whitespace()
+                .find_map(|field| field.strip_prefix("query="))
+                .expect("listening line names the query address")
+                .parse()
+                .unwrap();
+        }
+    };
+    let warning = warning.expect("no chain_damaged warning at boot");
+    assert!(warning.starts_with("level=warn "), "{warning}");
+    for field in [" links_loaded=1 ", " links_total=2 ", " damage=\"link 1 "] {
+        assert!(warning.contains(field), "`{field}` missing: {warning}");
+    }
+    // The loadable prefix — the base — is what the server serves.
+    assert_eq!(stat(&query(query_addr, "STATS"), "store.points"), 40);
+    assert_eq!(query(query_addr, "SHUTDOWN").trim(), "OK shutting down");
+    assert!(child.0.wait().unwrap().success());
+
+    let file = base.join("old.snap");
+    std::fs::write(&file, b"ASAPTSDB\x02\0\0\0\0\0\0\0").unwrap();
+    let (mut child, lines) = spawn_server_bin(&["--snapshot", file.to_str().unwrap()]);
+    assert_eq!(child.0.wait().unwrap().code(), Some(2));
+    let output: Vec<String> = lines.iter().collect();
+    assert!(
+        output.iter().any(|line| line.contains("is a file")
+            && line.contains("checkpoint-chain directories")
+            && line.contains("single-file snapshots")),
+        "{output:?}"
+    );
+    assert!(file.is_file(), "the refused file must be left alone");
     std::fs::remove_dir_all(&base).ok();
 }
 

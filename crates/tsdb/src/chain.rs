@@ -1,19 +1,40 @@
-//! Incremental checkpoint chains — snapshot format v3.
+//! Checkpoint chains — the store's one on-disk format.
 //!
-//! A drain-time checkpoint ([`crate::persist::checkpoint_sharded`])
-//! re-serializes the **entire** store every time, so its cost scales
-//! with total data. A long-running server checkpointing every minute
-//! needs the opposite: cost proportional to what changed since the last
-//! checkpoint. This module provides that as a *chain* — a directory
-//! holding one full base snapshot plus a sequence of per-series delta
+//! A long-running server checkpointing every minute needs checkpoint
+//! cost proportional to what changed since the last checkpoint, not to
+//! total data. This module provides that as a *chain* — a directory
+//! holding one full base link plus a sequence of per-series delta
 //! links, indexed by a manifest:
 //!
 //! ```text
 //! <dir>/
-//!   MANIFEST                          which links are live, in order
-//!   base-<chain_id:016x>-00000000.snap    a plain v2 snapshot
+//!   MANIFEST                              which links are live, in order
+//!   base-<chain_id:016x>-00000000.snap    every series (link seq 0)
 //!   delta-<chain_id:016x>-<seq:08>.snap   series that changed since seq-1
 //! ```
+//!
+//! The chain is also the only snapshot and export format: a standalone
+//! snapshot is a chain holding only a base, written by [`export`]
+//! (`CheckpointChain::open(dir, 1)?.checkpoint(db, None)`) and read
+//! back by [`load_chain`]. Because the first pass after
+//! [`CheckpointChain::open`] always re-bases and then removes every
+//! other chain's files, exporting over an existing chain replaces it.
+//!
+//! ## Base link (little-endian)
+//!
+//! ```text
+//! magic "ASAPTSDB" | u32 2 | u32 series_count
+//! directory, series sorted by key:
+//!   u32 key_len | key bytes | u32 block_count
+//!   u64 payload_offset (from file start) | u64 payload_len
+//! payloads, same order: block records (see crate::persist)
+//! ```
+//!
+//! `export_all` exports shards in parallel (one worker per non-empty
+//! shard) and merges the results into key order before anything touches
+//! the file, so base bytes are **independent of the writer's shard
+//! count**: a 1-shard and an 8-shard store holding the same points
+//! produce identical base links and manifests.
 //!
 //! ## Manifest (little-endian)
 //!
@@ -30,7 +51,7 @@
 //! directory, series sorted by key:
 //!   u32 key_len | key bytes | u8 mode | u32 start_block | u32 block_count
 //!   u64 payload_offset (from file start) | u64 payload_len
-//! payloads, same order: block records as in v1/v2
+//! payloads, same order: block records (see crate::persist)
 //! ```
 //!
 //! `mode` 0 is **append**: the link's blocks extend the series, and
@@ -86,10 +107,9 @@ use std::path::{Path, PathBuf};
 use crate::block::Block;
 use crate::error::TsdbError;
 use crate::persist::{
-    corrupt, encode_blocks, read_blocks, read_directory, read_header, read_key, read_u32,
-    read_u64, replace_file, validate_key, write_v2, EncodedSeries, SnapshotError, VERSION_V2,
+    corrupt, encoded_len, read_blocks, read_header, read_key, read_u32, read_u64, replace_file,
+    validate_key, write_blocks, SnapshotError, MAGIC,
 };
-use crate::persist::MAGIC;
 use crate::sharded::{ShardedConfig, ShardedDb};
 use crate::tags::{Selector, SeriesKey};
 use crate::wal::{crc32, Wal};
@@ -97,6 +117,7 @@ use crate::wal::{crc32, Wal};
 const CHAIN_MAGIC: &[u8; 8] = b"ASAPCHN1";
 const MANIFEST_VERSION: u32 = 1;
 const MANIFEST_NAME: &str = "MANIFEST";
+const VERSION_V2: u32 = 2;
 const VERSION_V3: u32 = 3;
 
 /// The steps of one incremental checkpoint, in execution order. Passed
@@ -280,8 +301,10 @@ fn write_manifest(dir: &Path, chain_id: u64, links: &[u64]) -> Result<(), Snapsh
 }
 
 /// Exports every series' sealed blocks, one worker per non-empty shard,
-/// merged into key order (same consistency point as `save_sharded`).
-/// Call after `db.flush()` so memtable contents are included.
+/// merged into key order — so the result, and every link written from
+/// it, is independent of the shard count. Call after `db.flush()` so
+/// memtable contents are included; see [`crate::persist`] for the
+/// per-series consistency point under concurrent writers.
 fn export_all(db: &ShardedDb) -> Result<Vec<(SeriesKey, Vec<Block>)>, SnapshotError> {
     let mut all: Vec<(SeriesKey, Vec<Block>)> = Vec::new();
     crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
@@ -312,6 +335,29 @@ fn export_all(db: &ShardedDb) -> Result<Vec<(SeriesKey, Vec<Block>)>, SnapshotEr
     .expect("chain export scope failed")?;
     all.sort_by(|(a, _), (b, _)| a.cmp(b));
     Ok(all)
+}
+
+/// Writes a base link for key-sorted `series`.
+fn write_base(series: &[(SeriesKey, Vec<Block>)], w: &mut impl Write) -> Result<(), SnapshotError> {
+    w.write_all(MAGIC)?;
+    w.write_all(&VERSION_V2.to_le_bytes())?;
+    w.write_all(&(series.len() as u32).to_le_bytes())?;
+    let names: Vec<String> = series.iter().map(|(k, _)| k.to_string()).collect();
+    let dir_len: usize = names.iter().map(|n| 4 + n.len() + 4 + 8 + 8).sum();
+    let mut offset = (MAGIC.len() + 4 + 4 + dir_len) as u64;
+    for ((_, blocks), name) in series.iter().zip(&names) {
+        let len = encoded_len(blocks);
+        w.write_all(&(name.len() as u32).to_le_bytes())?;
+        w.write_all(name.as_bytes())?;
+        w.write_all(&(blocks.len() as u32).to_le_bytes())?;
+        w.write_all(&offset.to_le_bytes())?;
+        w.write_all(&len.to_le_bytes())?;
+        offset += len;
+    }
+    for (_, blocks) in series {
+        write_blocks(blocks, w)?;
+    }
+    Ok(())
 }
 
 /// Computes the delta entries between the chain's fingerprints and a
@@ -364,39 +410,33 @@ fn write_delta(
     seq: u64,
     entries: &[DeltaEntry],
 ) -> Result<(), SnapshotError> {
-    let encoded: Vec<(String, u8, u32, u32, Vec<u8>)> = entries
-        .iter()
-        .map(|e| {
-            let mut payload = Vec::new();
-            encode_blocks(&e.blocks, &mut payload);
-            let mode = match e.mode {
-                DeltaMode::Append => 0u8,
-                DeltaMode::Replace => 1u8,
-            };
-            (e.key.to_string(), mode, e.start_block, e.blocks.len() as u32, payload)
-        })
-        .collect();
+    let names: Vec<String> = entries.iter().map(|e| e.key.to_string()).collect();
     let header_len = MAGIC.len() + 4 + 8 + 8 + 4;
-    let dir_len: usize = encoded.iter().map(|(n, ..)| 4 + n.len() + 1 + 4 + 4 + 8 + 8).sum();
+    let dir_len: usize = names.iter().map(|n| 4 + n.len() + 1 + 4 + 4 + 8 + 8).sum();
     replace_file(path, |w| {
         w.write_all(MAGIC)?;
         w.write_all(&VERSION_V3.to_le_bytes())?;
         w.write_all(&chain_id.to_le_bytes())?;
         w.write_all(&seq.to_le_bytes())?;
-        w.write_all(&(encoded.len() as u32).to_le_bytes())?;
+        w.write_all(&(entries.len() as u32).to_le_bytes())?;
         let mut offset = (header_len + dir_len) as u64;
-        for (name, mode, start_block, block_count, payload) in &encoded {
+        for (entry, name) in entries.iter().zip(&names) {
+            let mode = match entry.mode {
+                DeltaMode::Append => 0u8,
+                DeltaMode::Replace => 1u8,
+            };
+            let len = encoded_len(&entry.blocks);
             w.write_all(&(name.len() as u32).to_le_bytes())?;
             w.write_all(name.as_bytes())?;
-            w.write_all(&[*mode])?;
-            w.write_all(&start_block.to_le_bytes())?;
-            w.write_all(&block_count.to_le_bytes())?;
+            w.write_all(&[mode])?;
+            w.write_all(&entry.start_block.to_le_bytes())?;
+            w.write_all(&(entry.blocks.len() as u32).to_le_bytes())?;
             w.write_all(&offset.to_le_bytes())?;
-            w.write_all(&(payload.len() as u64).to_le_bytes())?;
-            offset += payload.len() as u64;
+            w.write_all(&len.to_le_bytes())?;
+            offset += len;
         }
-        for (_, _, _, _, payload) in &encoded {
-            w.write_all(payload)?;
+        for entry in entries {
+            write_blocks(&entry.blocks, w)?;
         }
         Ok(())
     })
@@ -406,6 +446,23 @@ fn read_u8(r: &mut impl Read) -> Result<u8, SnapshotError> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
     Ok(b[0])
+}
+
+/// Reads one directory entry's payload: `block_count` block records
+/// filling exactly the `len` bytes at `offset`.
+fn read_payload(
+    r: &mut (impl Read + Seek),
+    offset: u64,
+    len: u64,
+    block_count: u32,
+) -> Result<Vec<Block>, SnapshotError> {
+    r.seek(SeekFrom::Start(offset))?;
+    let mut bounded = r.take(len);
+    let blocks = read_blocks(&mut bounded, block_count)?;
+    if bounded.limit() != 0 {
+        return Err(corrupt("series payload shorter than directory claims"));
+    }
+    Ok(blocks)
 }
 
 /// Decodes a delta link **fully** (header checks, bounded payload reads,
@@ -450,48 +507,60 @@ fn read_delta(
     }
     let mut entries = Vec::with_capacity(dir.len());
     for (key, mode, start_block, block_count, offset, len) in dir {
-        r.seek(SeekFrom::Start(offset))?;
-        let mut bounded = (&mut r).take(len);
-        let blocks = read_blocks(&mut bounded, block_count)?;
-        if bounded.limit() != 0 {
-            return Err(corrupt("delta payload shorter than directory claims"));
-        }
         entries.push(DeltaEntry {
             key,
             mode,
             start_block,
-            blocks,
+            blocks: read_payload(&mut r, offset, len, block_count)?,
         });
     }
     Ok(entries)
 }
 
-/// Decodes a base link (a plain v2 snapshot) fully into memory. Chain
-/// folding trades the v2 loader's parallel streaming for whole-link
-/// validation before apply — base links are read once at boot.
+/// Decodes a base link fully into memory, so a damaged base is
+/// rejected before any of it is applied — base links are read once, at
+/// boot or load.
 fn read_base(path: &Path) -> Result<Vec<DeltaEntry>, SnapshotError> {
     let file = std::fs::File::open(path)?;
     let mut r = BufReader::new(file);
     if read_header(&mut r)? != VERSION_V2 {
-        return Err(corrupt("chain base is not a v2 snapshot"));
+        return Err(corrupt("chain base is not a base link"));
     }
-    let directory = read_directory(&mut r)?;
-    let mut entries = Vec::with_capacity(directory.len());
-    for entry in directory {
-        r.seek(SeekFrom::Start(entry.offset))?;
-        let mut bounded = (&mut r).take(entry.len);
-        let blocks = read_blocks(&mut bounded, entry.block_count)?;
-        if bounded.limit() != 0 {
-            return Err(corrupt("series payload shorter than directory claims"));
+    let series_count = read_u32(&mut r)?;
+    let mut directory = Vec::with_capacity(series_count.min(1 << 20) as usize);
+    for _ in 0..series_count {
+        let key = read_key(&mut r)?;
+        let block_count = read_u32(&mut r)?;
+        let offset = read_u64(&mut r)?;
+        let len = read_u64(&mut r)?;
+        if len > 1 << 40 {
+            return Err(corrupt("implausible series payload length"));
         }
+        directory.push((key, block_count, offset, len));
+    }
+    let mut entries = Vec::with_capacity(directory.len());
+    for (key, block_count, offset, len) in directory {
         entries.push(DeltaEntry {
-            key: entry.key,
+            key,
             mode: DeltaMode::Replace,
             start_block: 0,
-            blocks,
+            blocks: read_payload(&mut r, offset, len, block_count)?,
         });
     }
     Ok(entries)
+}
+
+/// Refuses a plain file where a chain directory belongs — typically a
+/// snapshot written before chains became the only format.
+fn refuse_plain_file(dir: &Path) -> Result<(), SnapshotError> {
+    if dir.exists() && !dir.is_dir() {
+        return Err(SnapshotError::Invalid(format!(
+            "{} is a file, but snapshots are checkpoint-chain directories; \
+             single-file snapshots (formats v1 and v2) are no longer supported",
+            dir.display()
+        )));
+    }
+    Ok(())
 }
 
 fn sealed_block_count(db: &ShardedDb, key: &SeriesKey) -> usize {
@@ -503,11 +572,14 @@ fn sealed_block_count(db: &ShardedDb, key: &SeriesKey) -> usize {
 /// manifest, a missing or foreign delta, a torn payload — stops the fold
 /// at the newest loadable prefix instead of failing: the WAL tail
 /// (never discarded past the manifest's coverage) supplies the rest via
-/// [`crate::persist::recover_sharded`].
+/// [`crate::persist::recover_sharded`]. A missing directory (or one
+/// without a manifest) folds to an empty store; a plain file is refused,
+/// since single-file snapshots are no longer a supported format.
 pub fn load_chain_with_report(
     dir: &Path,
     config: ShardedConfig,
 ) -> Result<(ShardedDb, ChainLoadReport), SnapshotError> {
+    refuse_plain_file(dir)?;
     let db = ShardedDb::with_config(config);
     let mut report = ChainLoadReport::default();
     let manifest = match read_manifest(dir) {
@@ -566,10 +638,34 @@ pub fn load_chain_with_report(
     Ok((db, report))
 }
 
-/// [`load_chain_with_report`] without the report — the form
-/// [`crate::persist::load_sharded`] dispatches to for chain directories.
+/// Loads a chain strictly — the form standalone exports are read with
+/// ([`ShardedDb::load`]). Unlike [`load_chain_with_report`], which
+/// degrades to the loadable prefix because a WAL tail backs it up, any
+/// damage is an error here, and so is a directory without a manifest.
 pub fn load_chain(dir: &Path, config: ShardedConfig) -> Result<ShardedDb, SnapshotError> {
-    Ok(load_chain_with_report(dir, config)?.0)
+    let (db, report) = load_chain_with_report(dir, config)?;
+    if let Some(damage) = report.damage {
+        return Err(SnapshotError::Invalid(format!("{}: {damage}", dir.display())));
+    }
+    if report.links_total == 0 {
+        return Err(SnapshotError::Invalid(format!(
+            "{} holds no checkpoint chain",
+            dir.display()
+        )));
+    }
+    Ok(db)
+}
+
+/// Writes a standalone export of `db` into the directory `dir`: a chain
+/// holding only a base, replacing whatever chain `dir` held before. The
+/// directory is created if missing, but its parent must exist.
+pub fn export(db: &ShardedDb, dir: &Path) -> Result<(), SnapshotError> {
+    refuse_plain_file(dir)?;
+    if !dir.exists() {
+        std::fs::create_dir(dir)?;
+    }
+    CheckpointChain::open(dir, 1)?.checkpoint(db, None)?;
+    Ok(())
 }
 
 /// The writer side of an incremental checkpoint chain: owns the chain
@@ -690,15 +786,7 @@ impl CheckpointChain {
             report.series_written = exports.len();
             let chain_id = self.next_chain_id;
             let base = self.dir.join(base_name(chain_id, 0));
-            let encoded: Vec<EncodedSeries> = exports
-                .iter()
-                .map(|(key, blocks)| {
-                    let mut payload = Vec::new();
-                    encode_blocks(blocks, &mut payload);
-                    (key.clone(), blocks.len() as u32, payload)
-                })
-                .collect();
-            replace_file(&base, |w| write_v2(&encoded, w))?;
+            replace_file(&base, |w| write_base(&exports, w))?;
             report.bytes_written = std::fs::metadata(&base)?.len();
             if stop(ChainStep::BaseWritten) {
                 return Ok(report);
@@ -977,7 +1065,7 @@ mod tests {
         write_points(&db, "a", 10_000, 10);
         chain.checkpoint(&db, None).unwrap();
 
-        let loaded = crate::persist::load_sharded(&dir, ShardedConfig::new(2, 16)).unwrap();
+        let loaded = ShardedDb::load(&dir, ShardedConfig::new(2, 16)).unwrap();
         assert_eq!(
             loaded.query_selector(&Selector::any(), full()).unwrap(),
             db.query_selector(&Selector::any(), full()).unwrap()

@@ -136,20 +136,11 @@ impl Tsdb {
     }
 
     /// Returns clones of one series' sealed blocks (cheap: payloads are
-    /// reference-counted). Used by snapshot persistence; call
-    /// [`Tsdb::flush`] first to include memtable contents.
+    /// reference-counted). Used by the sharded migration
+    /// ([`crate::ShardedDb::from_tsdb`]); call [`Tsdb::flush`] first to
+    /// include memtable contents.
     pub fn export_blocks(&self, key: &SeriesKey) -> Result<Vec<crate::block::Block>, TsdbError> {
         self.inner.export_blocks(key)
-    }
-
-    /// Imports pre-sealed blocks into a series (snapshot restore), creating
-    /// it if needed. Blocks must be strictly after any existing data.
-    pub fn import_blocks(
-        &self,
-        key: &SeriesKey,
-        blocks: Vec<crate::block::Block>,
-    ) -> Result<(), TsdbError> {
-        self.inner.import_blocks(key, blocks)
     }
 
     /// Evicts sealed blocks older than `cutoff` from one series. The series

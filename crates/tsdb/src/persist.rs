@@ -1,70 +1,40 @@
-//! Snapshot persistence: serialize an engine to a single file and back.
+//! Durable-state codec helpers and snapshot+WAL recovery.
 //!
 //! The engine is in-memory (like the hot tier of Gorilla, which keeps 26
-//! hours in RAM); snapshots provide the restart-durability story: flush
-//! every series' memtable, write all sealed blocks to disk in a compact
-//! binary format, and reload them on startup. Blocks are stored as their
-//! Gorilla-compressed payloads, so a snapshot is roughly the engine's
-//! compressed in-memory footprint.
+//! hours in RAM). Its one on-disk format is the checkpoint-chain
+//! directory of [`crate::chain`]: a base link holding every series plus
+//! per-series delta links under a CRC-guarded manifest. A standalone
+//! snapshot or export is a chain holding only a base
+//! ([`crate::chain::export`], [`ShardedDb::save`]). Blocks are stored as
+//! their Gorilla-compressed payloads, so a base link is roughly the
+//! engine's compressed in-memory footprint.
 //!
-//! ## Format version 1 (little-endian) — single-shard, sequential
+//! This module holds what the chain links and the WAL share: the block
+//! record encoding, the series-key display form, the tmp+rename file
+//! writer, the [`SnapshotError`] type, and [`recover_sharded`], the
+//! chain + WAL-tail recovery entry point.
 //!
-//! ```text
-//! magic "ASAPTSDB" | u32 1 | u32 series_count
-//! per series:
-//!   u32 key_len   | key bytes (display form: metric{k=v,...})
-//!   u32 block_count
-//!   per block:
-//!     u64 count | u64 len_bits | u32 byte_len | payload bytes
-//! ```
-//!
-//! ## Format version 2 (little-endian) — sharded, parallel
+//! ## Block records (little-endian)
 //!
 //! ```text
-//! magic "ASAPTSDB" | u32 2 | u32 series_count
-//! directory, series sorted by key:
-//!   u32 key_len | key bytes | u32 block_count
-//!   u64 payload_offset (from file start) | u64 payload_len
-//! payloads, same order: block records as in v1
+//! per block: u64 count | u64 len_bits | u32 byte_len | payload bytes
 //! ```
 //!
-//! Version 2 is produced by [`save_sharded`]: one worker per shard
-//! serializes its series concurrently, and the per-shard results are
-//! merged into key order before anything touches the file — so the bytes
-//! are **independent of the writer's shard count** (a 1-shard and an
-//! 8-shard store holding the same points produce identical files). The
-//! directory's offsets let [`load_sharded`] hand each shard worker its
-//! own file handle and read payloads in parallel.
-//!
-//! Both loaders accept both versions: a v1 file loads into any shard
-//! count (series re-route by hash), and a v2 file loads into a
-//! single-shard [`Tsdb`] sequentially.
-//!
-//! ## Format version 3 — incremental checkpoint chains
-//!
-//! Version 3 is not a single file but a **directory**: a base v2
-//! snapshot plus per-series delta links indexed by a CRC-guarded
-//! manifest, written by [`crate::chain::CheckpointChain`] so that online
-//! checkpoint cost scales with write activity instead of total data.
-//! [`load_sharded`] (and therefore [`recover_sharded`]) folds a chain
-//! directory transparently; see the [`crate::chain`] module docs for the
-//! layout and crash-safety argument.
-//!
-//! The display form of [`SeriesKey`] is unambiguous as long as metric and
-//! tag tokens exclude the structural characters `{`, `}`, `,`, `=`;
-//! saving rejects keys that violate this (line-protocol ingestion can
-//! never produce them).
+//! Series keys are written in their display form `metric{k=v,...}`,
+//! which is unambiguous as long as metric and tag tokens exclude the
+//! structural characters `{`, `}`, `,`, `=`; saving rejects keys that
+//! violate this (line-protocol ingestion can never produce them).
 //!
 //! ## Consistency under concurrent writers
 //!
 //! Saving never holds more than one series lock at a time, and each only
 //! briefly: the initial flush seals memtables series-by-series, and each
-//! series' blocks are then cloned under that series' read lock alone. The
-//! snapshot therefore captures a **per-series consistency point** — every
-//! series is internally consistent as of the moment its blocks were
-//! exported — but not a single cross-series cut: a writer racing the save
-//! may land a sealed block in series B after A was exported and before B
-//! is. Concretely:
+//! series' blocks are then cloned under that series' read lock alone. A
+//! checkpoint therefore captures a **per-series consistency point** —
+//! every series is internally consistent as of the moment its blocks
+//! were exported — but not a single cross-series cut: a writer racing
+//! the save may land a sealed block in series B after A was exported and
+//! before B is. Concretely:
 //!
 //! * each saved series is a prefix (in time) of that series' final
 //!   contents — never torn mid-block;
@@ -77,34 +47,36 @@
 //!
 //! Callers needing a true cross-series cut must quiesce writers first.
 //!
-//! Both writers stage into a sibling `*.tmp` file and rename it over
-//! `path` on success, so a save that fails partway (full disk, crash,
-//! unsnapshotable key) never clobbers an existing good snapshot.
+//! Every file is staged into a sibling `*.tmp` file and renamed over its
+//! target on success, so a save that fails partway (full disk, crash,
+//! unsnapshotable key) never clobbers an existing good file.
 
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use bytes::Bytes;
 
 use crate::block::Block;
-use crate::db::{Tsdb, TsdbConfig};
 use crate::error::TsdbError;
 use crate::gorilla::CompressedChunk;
 use crate::sharded::{ShardedConfig, ShardedDb};
-use crate::tags::{Selector, SeriesKey};
-use crate::wal::{Wal, WalReplayReport};
+use crate::tags::SeriesKey;
+use crate::wal::WalReplayReport;
 
 pub(crate) const MAGIC: &[u8; 8] = b"ASAPTSDB";
-const VERSION_V1: u32 = 1;
-pub(crate) const VERSION_V2: u32 = 2;
 
-/// Error of snapshot I/O: either the storage engine or the filesystem.
+/// Error of snapshot I/O: the storage engine, the filesystem, or a
+/// chain that cannot be loaded as asked.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Engine-side failure (corrupt payload, bad key).
     Tsdb(TsdbError),
     /// Filesystem failure.
     Io(std::io::Error),
+    /// The path is not a loadable checkpoint chain: a damaged link or
+    /// manifest (strict loads only), a directory without a manifest, or
+    /// a plain file where a chain directory was expected.
+    Invalid(String),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -112,6 +84,7 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Tsdb(e) => write!(f, "snapshot: {e}"),
             SnapshotError::Io(e) => write!(f, "snapshot io: {e}"),
+            SnapshotError::Invalid(reason) => write!(f, "snapshot: {reason}"),
         }
     }
 }
@@ -121,6 +94,7 @@ impl std::error::Error for SnapshotError {
         match self {
             SnapshotError::Tsdb(e) => Some(e),
             SnapshotError::Io(e) => Some(e),
+            SnapshotError::Invalid(_) => None,
         }
     }
 }
@@ -141,10 +115,10 @@ pub(crate) fn corrupt(reason: &'static str) -> SnapshotError {
     SnapshotError::Tsdb(TsdbError::CorruptBlock { reason })
 }
 
-/// Writes a snapshot through `write` into a sibling temp file, then
-/// renames it over `path` — so a save that fails partway (full disk,
-/// crash, unsnapshotable key discovered mid-write) never destroys a
-/// previous good snapshot at `path`.
+/// Writes a file through `write` into a sibling temp file, then renames
+/// it over `path` — so a save that fails partway (full disk, crash,
+/// unsnapshotable key discovered mid-write) never destroys a previous
+/// good file at `path`.
 pub(crate) fn replace_file(
     path: &Path,
     write: impl FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), SnapshotError>,
@@ -188,18 +162,27 @@ pub(crate) fn validate_key(key: &SeriesKey) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Encodes one series' block records (the shared v1/v2 payload form).
-pub(crate) fn encode_blocks(blocks: &[Block], out: &mut Vec<u8>) {
-    for block in blocks {
-        let chunk = block.chunk();
-        out.extend_from_slice(&(chunk.count as u64).to_le_bytes());
-        out.extend_from_slice(&(chunk.len_bits as u64).to_le_bytes());
-        out.extend_from_slice(&(chunk.data.len() as u32).to_le_bytes());
-        out.extend_from_slice(&chunk.data);
-    }
+/// Bytes [`write_blocks`] emits for `blocks`.
+pub(crate) fn encoded_len(blocks: &[Block]) -> u64 {
+    blocks
+        .iter()
+        .map(|b| 8 + 8 + 4 + b.chunk().data.len() as u64)
+        .sum()
 }
 
-/// Reads `block_count` block records (the shared v1/v2 payload form).
+/// Writes one series' block records (the payload form every link uses).
+pub(crate) fn write_blocks(blocks: &[Block], w: &mut impl Write) -> std::io::Result<()> {
+    for block in blocks {
+        let chunk = block.chunk();
+        w.write_all(&(chunk.count as u64).to_le_bytes())?;
+        w.write_all(&(chunk.len_bits as u64).to_le_bytes())?;
+        w.write_all(&(chunk.data.len() as u32).to_le_bytes())?;
+        w.write_all(&chunk.data)?;
+    }
+    Ok(())
+}
+
+/// Reads `block_count` block records (the payload form every link uses).
 pub(crate) fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Block>, SnapshotError> {
     // `block_count` is untrusted input: cap the pre-allocation so a
     // corrupt field yields a clean error once the payload runs out,
@@ -227,189 +210,24 @@ pub(crate) fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Blo
     Ok(blocks)
 }
 
-/// Writes a version-1 snapshot of `db` to `path`.
+/// Recovers a store from a checkpoint chain plus its WAL tail.
 ///
-/// The database is flushed first (memtables sealed into blocks) so the
-/// snapshot captures every point accepted before the call; see the module
-/// docs for the exact consistency point under concurrent writers.
-pub fn save(db: &Tsdb, path: &Path) -> Result<(), SnapshotError> {
-    db.flush()?;
-    replace_file(path, |w| {
-        w.write_all(MAGIC)?;
-        w.write_all(&VERSION_V1.to_le_bytes())?;
-
-        let keys = db.list_series(&Selector::any());
-        w.write_all(&(keys.len() as u32).to_le_bytes())?;
-        for key in keys {
-            validate_key(&key)?;
-            let name = key.to_string();
-            w.write_all(&(name.len() as u32).to_le_bytes())?;
-            w.write_all(name.as_bytes())?;
-            let blocks = db.export_blocks(&key)?;
-            w.write_all(&(blocks.len() as u32).to_le_bytes())?;
-            let mut payload = Vec::new();
-            encode_blocks(&blocks, &mut payload);
-            w.write_all(&payload)?;
-        }
-        Ok(())
-    })
-}
-
-/// One merged series entry awaiting the v2 directory write.
-pub(crate) type EncodedSeries = (SeriesKey, u32, Vec<u8>);
-
-/// Writes the v2 header + directory + payloads for already-encoded,
-/// key-sorted `entries`. Shared between [`save_sharded`] and the chain
-/// writer's base links ([`crate::chain`]), which are byte-for-byte plain
-/// v2 snapshots.
-pub(crate) fn write_v2(
-    entries: &[EncodedSeries],
-    w: &mut impl Write,
-) -> Result<(), SnapshotError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V2.to_le_bytes())?;
-    w.write_all(&(entries.len() as u32).to_le_bytes())?;
-
-    let names: Vec<String> = entries.iter().map(|(k, _, _)| k.to_string()).collect();
-    let dir_len: usize = names.iter().map(|n| 4 + n.len() + 4 + 8 + 8).sum();
-    let mut offset = (MAGIC.len() + 4 + 4 + dir_len) as u64;
-    for ((_, block_count, payload), name) in entries.iter().zip(&names) {
-        w.write_all(&(name.len() as u32).to_le_bytes())?;
-        w.write_all(name.as_bytes())?;
-        w.write_all(&block_count.to_le_bytes())?;
-        w.write_all(&offset.to_le_bytes())?;
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        offset += payload.len() as u64;
-    }
-    for (_, _, payload) in entries {
-        w.write_all(payload)?;
-    }
-    Ok(())
-}
-
-/// Writes a version-2 snapshot of `db` to `path`, serializing shards in
-/// parallel (one worker per non-empty shard) and merging the per-shard
-/// results into key order — so the file bytes are independent of the
-/// shard count. Same per-series consistency point as [`save`].
-pub fn save_sharded(db: &ShardedDb, path: &Path) -> Result<(), SnapshotError> {
-    db.flush()?;
-    let mut entries: Vec<EncodedSeries> = Vec::new();
-    crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
-        let mut handles = Vec::new();
-        for shard in db.shards() {
-            if shard.series_count() == 0 {
-                continue;
-            }
-            handles.push(scope.spawn(move |_| -> Result<Vec<EncodedSeries>, SnapshotError> {
-                let mut out = Vec::new();
-                for key in shard.list_series(&Selector::any()) {
-                    validate_key(&key)?;
-                    let blocks = shard.export_blocks(&key)?;
-                    let mut payload = Vec::new();
-                    encode_blocks(&blocks, &mut payload);
-                    out.push((key, blocks.len() as u32, payload));
-                }
-                Ok(out)
-            }));
-        }
-        for handle in handles {
-            entries.extend(handle.join().expect("snapshot worker panicked")?);
-        }
-        Ok(())
-    })
-    .expect("snapshot scope failed")?;
-    entries.sort_by(|(a, _, _), (b, _, _)| a.cmp(b));
-
-    replace_file(path, |w| write_v2(&entries, w))
-}
-
-/// Loads a snapshot (either version) from `path` into a fresh [`Tsdb`]
-/// with `config`.
-pub fn load(path: &Path, config: TsdbConfig) -> Result<Tsdb, SnapshotError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let db = Tsdb::with_config(config);
-    match read_header(&mut r)? {
-        VERSION_V1 => load_v1_records(&mut r, |key, blocks| db.import_blocks(&key, blocks))?,
-        VERSION_V2 => {
-            for entry in read_directory(&mut r)? {
-                r.seek(SeekFrom::Start(entry.offset))?;
-                let mut bounded = (&mut r).take(entry.len);
-                let blocks = read_blocks(&mut bounded, entry.block_count)?;
-                if bounded.limit() != 0 {
-                    return Err(corrupt("series payload shorter than directory claims"));
-                }
-                db.import_blocks(&entry.key, blocks)?;
-            }
-        }
-        _ => return Err(corrupt("unsupported snapshot version")),
-    }
-    Ok(db)
-}
-
-/// Loads a snapshot (either version) from `path` into a fresh
-/// [`ShardedDb`] with `config`. Series re-route to `config.shards`
-/// partitions regardless of the writer's shard count; version-2 payloads
-/// are read in parallel, one worker per destination shard with its own
-/// file handle.
-///
-/// When `path` is a **directory** it is treated as an incremental
-/// checkpoint chain (snapshot v3) and folded transparently via
-/// [`crate::chain::load_chain`]: base v2 snapshot, then every delta link
-/// the chain manifest lists, degrading to the newest loadable prefix on
-/// damage.
-pub fn load_sharded(path: &Path, config: ShardedConfig) -> Result<ShardedDb, SnapshotError> {
-    if path.is_dir() {
-        return crate::chain::load_chain(path, config);
-    }
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let db = ShardedDb::with_config(config);
-    match read_header(&mut r)? {
-        VERSION_V1 => load_v1_records(&mut r, |key, blocks| db.import_blocks(&key, blocks))?,
-        VERSION_V2 => {
-            let directory = read_directory(&mut r)?;
-            drop(r);
-            load_v2_parallel(path, &db, directory)?;
-        }
-        _ => return Err(corrupt("unsupported snapshot version")),
-    }
-    Ok(db)
-}
-
-/// Takes a *checkpoint*: rotates `wal` onto a fresh generation, saves a
-/// sharded snapshot covering everything before the rotation, then
-/// discards the covered log generations.
-///
-/// The ordering makes a crash at any step safe: before the save, the old
-/// generations are still on disk; after the save but before the discard,
-/// [`recover_sharded`] replays the covered generations on top of the
-/// snapshot and skips every already-present record (replay is
-/// idempotent). Returns the new live generation.
-pub fn checkpoint_sharded(db: &ShardedDb, path: &Path, wal: &Wal) -> Result<u64, SnapshotError> {
-    let boundary = wal.rotate()?;
-    save_sharded(db, path)?;
-    wal.discard_before(boundary)?;
-    Ok(boundary)
-}
-
-/// Recovers a store from a snapshot plus its WAL tail.
-///
-/// Loads `snapshot` if it names an existing file — or an incremental
-/// checkpoint-chain directory (a missing snapshot just means "start
-/// empty", e.g. the first boot) — then replays every WAL file in
-/// `wal_dir`, skipping records the snapshot already covers. Either
-/// source may be absent; together they are the complete recovery set a
-/// [`checkpoint_sharded`] or a [`crate::chain::CheckpointChain`]
-/// checkpoint (or a crash at any point between its steps) leaves
-/// behind.
+/// Folds the chain directory at `snapshot` if it exists (a missing path
+/// just means "start empty", e.g. the first boot), then replays every
+/// WAL file in `wal_dir`, skipping records the chain already covers.
+/// The fold is lenient: a damaged chain degrades to its newest loadable
+/// prefix ([`crate::chain::load_chain_with_report`]), because the WAL
+/// tail — discarded only once a committed manifest covers it — supplies
+/// the rest. Either source may be absent; together they are the
+/// complete recovery set a [`crate::chain::CheckpointChain`] checkpoint
+/// (or a crash at any point between its steps) leaves behind.
 pub fn recover_sharded(
     snapshot: Option<&Path>,
     wal_dir: Option<&Path>,
     config: ShardedConfig,
 ) -> Result<(ShardedDb, WalReplayReport), SnapshotError> {
     let db = match snapshot {
-        Some(path) if path.exists() => load_sharded(path, config)?,
+        Some(dir) if dir.exists() => crate::chain::load_chain_with_report(dir, config)?.0,
         _ => ShardedDb::with_config(config),
     };
     let report = match wal_dir {
@@ -419,7 +237,7 @@ pub fn recover_sharded(
     Ok((db, report))
 }
 
-/// Checks the magic and returns the format version.
+/// Checks the magic and returns the link format version.
 pub(crate) fn read_header(r: &mut impl Read) -> Result<u32, SnapshotError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -427,93 +245,6 @@ pub(crate) fn read_header(r: &mut impl Read) -> Result<u32, SnapshotError> {
         return Err(corrupt("bad magic"));
     }
     read_u32(r)
-}
-
-/// Reads every v1 series record, handing each to `import`.
-fn load_v1_records(
-    r: &mut impl Read,
-    mut import: impl FnMut(SeriesKey, Vec<Block>) -> Result<(), TsdbError>,
-) -> Result<(), SnapshotError> {
-    let series_count = read_u32(r)?;
-    for _ in 0..series_count {
-        let key = read_key(r)?;
-        let block_count = read_u32(r)?;
-        let blocks = read_blocks(r, block_count)?;
-        import(key, blocks)?;
-    }
-    Ok(())
-}
-
-/// One v2 directory entry.
-pub(crate) struct DirEntry {
-    pub(crate) key: SeriesKey,
-    pub(crate) block_count: u32,
-    pub(crate) offset: u64,
-    pub(crate) len: u64,
-}
-
-/// Reads the v2 series directory (assumes the header was consumed).
-pub(crate) fn read_directory(r: &mut impl Read) -> Result<Vec<DirEntry>, SnapshotError> {
-    let series_count = read_u32(r)?;
-    let mut out = Vec::with_capacity(series_count.min(1 << 20) as usize);
-    for _ in 0..series_count {
-        let key = read_key(r)?;
-        let block_count = read_u32(r)?;
-        let offset = read_u64(r)?;
-        let len = read_u64(r)?;
-        if len > 1 << 40 {
-            return Err(corrupt("implausible series payload length"));
-        }
-        out.push(DirEntry {
-            key,
-            block_count,
-            offset,
-            len,
-        });
-    }
-    Ok(out)
-}
-
-/// Reads every directory entry's payload in parallel — one worker per
-/// destination shard, each with its own file handle — and imports the
-/// decoded blocks into `db`.
-fn load_v2_parallel(
-    path: &Path,
-    db: &ShardedDb,
-    directory: Vec<DirEntry>,
-) -> Result<(), SnapshotError> {
-    let mut by_shard: Vec<Vec<DirEntry>> = (0..db.shard_count()).map(|_| Vec::new()).collect();
-    for entry in directory {
-        by_shard[db.shard_of(&entry.key)].push(entry);
-    }
-    let shards = db.shards();
-    crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
-        let mut handles = Vec::new();
-        for (shard, entries) in shards.iter().zip(by_shard) {
-            if entries.is_empty() {
-                continue;
-            }
-            handles.push(scope.spawn(move |_| -> Result<(), SnapshotError> {
-                let file = std::fs::File::open(path)?;
-                let mut r = BufReader::new(file);
-                for entry in entries {
-                    r.seek(SeekFrom::Start(entry.offset))?;
-                    let mut bounded = (&mut r).take(entry.len);
-                    let blocks = read_blocks(&mut bounded, entry.block_count)?;
-                    if bounded.limit() != 0 {
-                        return Err(corrupt("series payload shorter than directory claims"));
-                    }
-                    shard.import_blocks(&entry.key, blocks)?;
-                }
-                Ok(())
-            }));
-        }
-        for handle in handles {
-            handle.join().expect("snapshot load worker panicked")?;
-        }
-        Ok(())
-    })
-    .expect("snapshot load scope failed")
 }
 
 /// Reads a length-prefixed series key in display form.
@@ -572,17 +303,28 @@ pub(crate) fn parse_series_key(s: &str) -> Result<SeriesKey, SnapshotError> {
 
 #[cfg(test)]
 mod tests {
+    //! Standalone exports ([`ShardedDb::save`] / [`ShardedDb::load`]):
+    //! one-base chains written and read through [`crate::chain`].
+
     use super::*;
+    use crate::chain::load_chain_with_report;
+    use crate::db::{Tsdb, TsdbConfig};
     use crate::point::DataPoint;
     use crate::query::RangeQuery;
+    use crate::tags::Selector;
+    use std::path::PathBuf;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("asap_tsdb_persist_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A fresh export path; the directory itself does not exist yet.
+    fn tmp(name: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("asap_tsdb_persist_{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let path = root.join(name);
+        std::fs::remove_dir_all(&path).ok();
+        std::fs::remove_file(&path).ok();
+        path
     }
 
-    fn seeded() -> Tsdb {
+    fn seeded_tsdb() -> Tsdb {
         let db = Tsdb::with_config(TsdbConfig { block_capacity: 64 });
         for host in ["a", "b"] {
             let key = SeriesKey::metric("cpu").with_tag("host", host).with_tag("dc", "west");
@@ -596,69 +338,131 @@ mod tests {
         db
     }
 
-    fn seeded_sharded(shards: usize) -> ShardedDb {
-        ShardedDb::from_tsdb(&seeded(), ShardedConfig::new(shards, 64)).unwrap()
+    fn seeded(shards: usize) -> ShardedDb {
+        ShardedDb::from_tsdb(&seeded_tsdb(), ShardedConfig::new(shards, 64)).unwrap()
     }
 
     fn full() -> RangeQuery {
         RangeQuery::raw(i64::MIN + 1, i64::MAX)
     }
 
+    fn assert_same(a: &ShardedDb, b: &ShardedDb) {
+        assert_eq!(
+            a.query_selector(&Selector::any(), full()).unwrap(),
+            b.query_selector(&Selector::any(), full()).unwrap()
+        );
+    }
+
+    /// The export's single base link.
+    fn base_link(dir: &Path) -> PathBuf {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("base-"))
+            .expect("an export holds a base link")
+    }
+
+    /// Every file of an export directory, by name.
+    fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// A strict load fails, while the WAL-backed lenient fold of the same
+    /// directory succeeds and reports the damage.
+    fn assert_strict_err_lenient_damage(dir: &Path) {
+        assert!(
+            matches!(
+                ShardedDb::load(dir, ShardedConfig::default()),
+                Err(SnapshotError::Invalid(_))
+            ),
+            "strict load accepted a damaged export"
+        );
+        let (_, report) = load_chain_with_report(dir, ShardedConfig::default()).unwrap();
+        assert!(report.damage.is_some(), "lenient fold missed the damage");
+    }
+
     #[test]
     fn round_trip_preserves_every_point() {
-        let db = seeded();
-        let path = tmp("roundtrip.snap");
-        save(&db, &path).unwrap();
-        let restored = load(&path, TsdbConfig::default()).unwrap();
+        let db = seeded(1);
+        let path = tmp("roundtrip");
+        db.save(&path).unwrap();
+        let restored = ShardedDb::load(&path, ShardedConfig::new(1, 64)).unwrap();
         assert_eq!(restored.series_count(), db.series_count());
         for key in db.list_series(&Selector::any()) {
             let a = db.query(&key, full()).unwrap();
             let b = restored.query(&key, full()).unwrap();
             assert_eq!(a, b, "series {key}");
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn restored_db_accepts_new_writes_in_order() {
-        let db = seeded();
-        let path = tmp("writable.snap");
-        save(&db, &path).unwrap();
-        let restored = load(&path, TsdbConfig::default()).unwrap();
+        let db = seeded(2);
+        let path = tmp("writable");
+        db.save(&path).unwrap();
+        let restored = ShardedDb::load(&path, ShardedConfig::new(2, 64)).unwrap();
         let key = SeriesKey::metric("cpu").with_tag("host", "a").with_tag("dc", "west");
         // The last timestamp was 499*3; earlier writes must be rejected,
         // later ones accepted.
         assert!(restored.write(&key, DataPoint::new(0, 1.0)).is_err());
         restored.write(&key, DataPoint::new(5_000, 1.0)).unwrap();
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn bad_magic_and_truncation_rejected() {
-        let path = tmp("garbage.snap");
-        std::fs::write(&path, b"NOTASNAPSHOT").unwrap();
-        assert!(matches!(
-            load(&path, TsdbConfig::default()),
-            Err(SnapshotError::Tsdb(TsdbError::CorruptBlock { .. }))
-        ));
+        let path = tmp("garbage");
+        seeded(2).save(&path).unwrap();
+        let base = base_link(&path);
+        let base_bytes = std::fs::read(&base).unwrap();
+        let manifest = path.join("MANIFEST");
+        let manifest_bytes = std::fs::read(&manifest).unwrap();
 
-        // Truncate a valid snapshot mid-payload.
-        let db = seeded();
-        save(&db, &path).unwrap();
-        let full_bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full_bytes[..full_bytes.len() / 2]).unwrap();
-        assert!(load(&path, TsdbConfig::default()).is_err());
-        std::fs::remove_file(&path).ok();
+        // A base link with a bad magic.
+        let mut bad = base_bytes.clone();
+        bad[..8].copy_from_slice(b"NOTASNAP");
+        std::fs::write(&base, &bad).unwrap();
+        assert_strict_err_lenient_damage(&path);
+
+        // A base link truncated mid-payload.
+        std::fs::write(&base, &base_bytes[..base_bytes.len() / 2]).unwrap();
+        assert_strict_err_lenient_damage(&path);
+        std::fs::write(&base, &base_bytes).unwrap();
+
+        // A manifest replaced by garbage.
+        std::fs::write(&manifest, b"NOTASNAPSHOT").unwrap();
+        assert_strict_err_lenient_damage(&path);
+
+        // The untouched files still load.
+        std::fs::write(&manifest, &manifest_bytes).unwrap();
+        assert_same(&ShardedDb::load(&path, ShardedConfig::default()).unwrap(), &seeded(2));
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn empty_db_round_trips() {
-        let db = Tsdb::new();
-        let path = tmp("empty.snap");
-        save(&db, &path).unwrap();
-        let restored = load(&path, TsdbConfig::default()).unwrap();
+        let db = ShardedDb::with_config(ShardedConfig::new(1, 64));
+        let path = tmp("empty");
+        db.save(&path).unwrap();
+        let restored = ShardedDb::load(&path, ShardedConfig::default()).unwrap();
         assert_eq!(restored.series_count(), 0);
-        std::fs::remove_file(&path).ok();
+
+        // Exporting the empty store over a populated export replaces it.
+        seeded(2).save(&path).unwrap();
+        db.save(&path).unwrap();
+        let restored = ShardedDb::load(&path, ShardedConfig::default()).unwrap();
+        assert_eq!(restored.series_count(), 0);
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
@@ -675,191 +479,212 @@ mod tests {
 
     #[test]
     fn snapshot_is_compact() {
-        let db = Tsdb::with_config(TsdbConfig { block_capacity: 512 });
+        let db = ShardedDb::with_config(ShardedConfig::new(1, 512));
         let key = SeriesKey::metric("flat");
         for i in 0..10_000 {
             db.write(&key, DataPoint::new(i * 10, 42.0)).unwrap();
         }
-        let path = tmp("compact.snap");
-        save(&db, &path).unwrap();
-        let size = std::fs::metadata(&path).unwrap().len();
+        let path = tmp("compact");
+        db.save(&path).unwrap();
+        let size: usize = files(&path).iter().map(|(_, bytes)| bytes.len()).sum();
         assert!(
             size < 16 * 10_000 / 4,
-            "snapshot {size} bytes should be far below raw 160000"
+            "export {size} bytes should be far below raw 160000"
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn v2_round_trips_through_sharded_engines() {
-        let db = seeded_sharded(4);
-        let path = tmp("v2_roundtrip.snap");
-        save_sharded(&db, &path).unwrap();
+        let db = seeded(4);
+        let path = tmp("v2_roundtrip");
+        db.save(&path).unwrap();
         // Reload at several shard counts; all must agree with the source.
         for shards in [1usize, 3, 8] {
-            let restored = load_sharded(&path, ShardedConfig::new(shards, 64)).unwrap();
+            let restored = ShardedDb::load(&path, ShardedConfig::new(shards, 64)).unwrap();
             assert_eq!(restored.shard_count(), shards);
-            assert_eq!(
-                restored.query_selector(&Selector::any(), full()).unwrap(),
-                db.query_selector(&Selector::any(), full()).unwrap()
-            );
+            assert_same(&restored, &db);
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn v2_bytes_are_independent_of_shard_count() {
-        let a = tmp("v2_one_shard.snap");
-        let b = tmp("v2_many_shards.snap");
-        save_sharded(&seeded_sharded(1), &a).unwrap();
-        save_sharded(&seeded_sharded(7), &b).unwrap();
+        let a = tmp("v2_one_shard");
+        let b = tmp("v2_many_shards");
+        seeded(1).save(&a).unwrap();
+        seeded(8).save(&b).unwrap();
+        let (a_files, b_files) = (files(&a), files(&b));
         assert_eq!(
-            std::fs::read(&a).unwrap(),
-            std::fs::read(&b).unwrap(),
-            "v2 snapshot bytes must not depend on the writer's shard count"
+            a_files.iter().map(|(name, _)| name).collect::<Vec<_>>(),
+            ["MANIFEST", "base-0000000000000001-00000000.snap"]
         );
-        std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
+        assert_eq!(
+            a_files, b_files,
+            "base link and MANIFEST bytes must not depend on the writer's shard count"
+        );
+        std::fs::remove_dir_all(&a).ok();
+        std::fs::remove_dir_all(&b).ok();
     }
 
     #[test]
-    fn v1_file_loads_into_any_shard_count() {
-        let db = seeded();
-        let path = tmp("v1_crossload.snap");
-        save(&db, &path).unwrap();
-        for shards in [1usize, 2, 5] {
-            let restored = load_sharded(&path, ShardedConfig::new(shards, 64)).unwrap();
-            assert_eq!(
-                restored.query_selector(&Selector::any(), full()).unwrap(),
-                db.query_selector(&Selector::any(), full()).unwrap()
-            );
+    fn single_file_snapshots_are_refused() {
+        // A file where a chain directory belongs — here the header of a
+        // retired single-file (v1) snapshot — is refused by every entry
+        // point, with a message naming the format change.
+        let path = tmp("old_single_file.snap");
+        let mut old = Vec::new();
+        old.extend_from_slice(MAGIC);
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&0u32.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        match ShardedDb::load(&path, ShardedConfig::default()) {
+            Err(SnapshotError::Invalid(msg)) => {
+                assert!(msg.contains("checkpoint-chain directories"), "{msg}")
+            }
+            other => panic!("a single-file snapshot loaded: {:?}", other.map(|_| ())),
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_file_loads_into_single_shard_tsdb() {
-        let db = seeded_sharded(4);
-        let path = tmp("v2_to_tsdb.snap");
-        save_sharded(&db, &path).unwrap();
-        let restored = load(&path, TsdbConfig::default()).unwrap();
-        assert_eq!(
-            restored.query_selector(&Selector::any(), full()).unwrap(),
-            db.query_selector(&Selector::any(), full()).unwrap()
-        );
+        assert!(recover_sharded(Some(&path), None, ShardedConfig::default()).is_err());
+        // Saving over it is refused too, and leaves the file alone.
+        assert!(seeded(2).save(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), old);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn v2_truncation_and_bad_version_rejected() {
-        let db = seeded_sharded(3);
-        let path = tmp("v2_truncated.snap");
-        save_sharded(&db, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
+        let path = tmp("v2_truncated");
+        seeded(3).save(&path).unwrap();
+        let base = base_link(&path);
+        let bytes = std::fs::read(&base).unwrap();
+        let manifest = path.join("MANIFEST");
+        let manifest_bytes = std::fs::read(&manifest).unwrap();
 
-        // Truncate inside the payload section: directory reads fine, the
-        // parallel payload read must fail cleanly.
-        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-        assert!(load_sharded(&path, ShardedConfig::default()).is_err());
+        // Truncate inside the payload section: the directory reads fine,
+        // the payload read must fail cleanly.
+        std::fs::write(&base, &bytes[..bytes.len() - 7]).unwrap();
+        assert_strict_err_lenient_damage(&path);
 
         // Truncate inside the directory.
-        std::fs::write(&path, &bytes[..24]).unwrap();
-        assert!(load_sharded(&path, ShardedConfig::default()).is_err());
+        std::fs::write(&base, &bytes[..24]).unwrap();
+        assert_strict_err_lenient_damage(&path);
 
-        // Unknown version.
+        // Unknown base link version.
         let mut bad = bytes.clone();
         bad[8] = 99;
-        std::fs::write(&path, &bad).unwrap();
+        std::fs::write(&base, &bad).unwrap();
+        assert_strict_err_lenient_damage(&path);
+        std::fs::write(&base, &bytes).unwrap();
+
+        // A truncated manifest, and one with an unknown version (its CRC
+        // no longer matches either way).
+        std::fs::write(&manifest, &manifest_bytes[..manifest_bytes.len() - 1]).unwrap();
+        assert_strict_err_lenient_damage(&path);
+        let mut bad = manifest_bytes.clone();
+        bad[8] = 99;
+        std::fs::write(&manifest, &bad).unwrap();
+        assert_strict_err_lenient_damage(&path);
+
+        // A directory without any manifest is no export at all.
+        std::fs::remove_file(&manifest).unwrap();
         assert!(matches!(
-            load_sharded(&path, ShardedConfig::default()),
-            Err(SnapshotError::Tsdb(TsdbError::CorruptBlock { .. }))
+            ShardedDb::load(&path, ShardedConfig::default()),
+            Err(SnapshotError::Invalid(_))
         ));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn empty_sharded_db_round_trips_v2() {
         let db = ShardedDb::with_config(ShardedConfig::new(3, 64));
-        let path = tmp("v2_empty.snap");
-        save_sharded(&db, &path).unwrap();
-        let restored = load_sharded(&path, ShardedConfig::new(2, 64)).unwrap();
+        let path = tmp("v2_empty");
+        db.save(&path).unwrap();
+        let restored = ShardedDb::load(&path, ShardedConfig::new(2, 64)).unwrap();
         assert_eq!(restored.series_count(), 0);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn structural_keys_rejected_by_both_writers() {
         let bad = SeriesKey::metric("cpu").with_tag("host", "a=b");
-        let db = Tsdb::new();
+        // The base writer (a plain export)…
+        let db = ShardedDb::with_config(ShardedConfig::new(2, 64));
         db.write(&bad, DataPoint::new(1, 1.0)).unwrap();
-        let path = tmp("badkey.snap");
-        assert!(save(&db, &path).is_err());
-        let sharded = ShardedDb::with_config(ShardedConfig::new(2, 64));
-        sharded.write(&bad, DataPoint::new(1, 1.0)).unwrap();
-        assert!(save_sharded(&sharded, &path).is_err());
-        std::fs::remove_file(&path).ok();
+        let path = tmp("badkey");
+        assert!(db.save(&path).is_err());
+
+        // …and the delta writer, once a bad key appears after the base.
+        let db = ShardedDb::with_config(ShardedConfig::new(2, 64));
+        db.write(&SeriesKey::metric("ok"), DataPoint::new(1, 1.0)).unwrap();
+        let mut chain = crate::chain::CheckpointChain::open(&path, 4).unwrap();
+        chain.checkpoint(&db, None).unwrap();
+        db.write(&bad, DataPoint::new(1, 1.0)).unwrap();
+        assert!(chain.checkpoint(&db, None).is_err());
+        assert_eq!(chain.links(), 1, "the failed delta must not be committed");
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn failed_save_preserves_previous_snapshot() {
-        let path = tmp("keepold.snap");
-        let good = seeded();
-        save(&good, &path).unwrap();
-        let before = std::fs::read(&path).unwrap();
+        let path = tmp("keepold");
+        let good = seeded(2);
+        good.save(&path).unwrap();
+        let before = files(&path);
 
-        // A later save that errors mid-write (unsnapshotable key) must
-        // leave the previous good file untouched — both writers.
-        let bad_key = SeriesKey::metric("cpu").with_tag("host", "a=b");
-        let bad = Tsdb::new();
+        // A later export that errors (unsnapshotable key) must leave the
+        // previous good export untouched, with no stray temp file.
+        let bad = ShardedDb::with_config(ShardedConfig::new(3, 64));
         bad.write(&SeriesKey::metric("aaa"), DataPoint::new(1, 1.0)).unwrap();
-        bad.write(&bad_key, DataPoint::new(1, 1.0)).unwrap();
-        assert!(save(&bad, &path).is_err());
-        assert_eq!(std::fs::read(&path).unwrap(), before);
-
-        let bad_sharded = ShardedDb::from_tsdb(&bad, ShardedConfig::new(3, 64)).unwrap();
-        assert!(save_sharded(&bad_sharded, &path).is_err());
-        assert_eq!(std::fs::read(&path).unwrap(), before, "v2 writer clobbered the old file");
-
-        // No stray temp file left behind.
-        assert!(!path.with_file_name("keepold.snap.tmp").exists());
-        std::fs::remove_file(&path).ok();
+        bad.write(&SeriesKey::metric("cpu").with_tag("host", "a=b"), DataPoint::new(1, 1.0))
+            .unwrap();
+        assert!(bad.save(&path).is_err());
+        assert_eq!(files(&path), before, "a failed export clobbered the old one");
+        assert_same(&ShardedDb::load(&path, ShardedConfig::default()).unwrap(), &good);
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn implausible_block_count_is_an_error_not_an_abort() {
-        // A v1 header claiming one series with u32::MAX blocks and no
+        // A base link claiming one series with u32::MAX blocks and no
         // payload must surface as a clean error (the pre-allocation is
         // capped), not an allocator abort.
-        let path = tmp("hugeblocks.snap");
+        let path = tmp("hugeblocks");
+        seeded(1).save(&path).unwrap();
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"ASAPTSDB");
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // version
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // version
         bytes.extend_from_slice(&1u32.to_le_bytes()); // series_count
         bytes.extend_from_slice(&3u32.to_le_bytes()); // key_len
         bytes.extend_from_slice(b"cpu");
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // block_count
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load(&path, TsdbConfig::default()).is_err());
-        std::fs::remove_file(&path).ok();
+        let offset = bytes.len() as u64 + 16;
+        bytes.extend_from_slice(&offset.to_le_bytes()); // payload_offset
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // payload_len
+        std::fs::write(base_link(&path), &bytes).unwrap();
+        assert_strict_err_lenient_damage(&path);
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]
     fn v2_payload_overrun_rejected_by_both_loaders() {
         // Shrink a directory len field so the payload read overruns the
-        // declared extent: both loaders must reject identically.
-        let db = seeded_sharded(2);
-        let path = tmp("lenlie.snap");
-        save_sharded(&db, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        // declared extent: the strict load errs and the lenient fold
+        // loads no link at all.
+        let path = tmp("lenlie");
+        seeded(2).save(&path).unwrap();
+        let base = base_link(&path);
+        let mut bytes = std::fs::read(&base).unwrap();
         // First directory entry: magic(8) version(4) count(4) key_len(4)
         // + key + block_count(4) + offset(8), then the 8-byte len.
         let key_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
         let len_pos = 20 + key_len + 4 + 8;
         let len = u64::from_le_bytes(bytes[len_pos..len_pos + 8].try_into().unwrap());
         bytes[len_pos..len_pos + 8].copy_from_slice(&(len - 1).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(load_sharded(&path, ShardedConfig::default()).is_err());
-        assert!(load(&path, TsdbConfig::default()).is_err());
-        std::fs::remove_file(&path).ok();
+        std::fs::write(&base, &bytes).unwrap();
+        assert_strict_err_lenient_damage(&path);
+        let (folded, report) = load_chain_with_report(&path, ShardedConfig::default()).unwrap();
+        assert_eq!(report.links_loaded, 0);
+        assert_eq!(folded.series_count(), 0);
+        std::fs::remove_dir_all(&path).ok();
     }
 }

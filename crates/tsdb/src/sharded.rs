@@ -198,20 +198,21 @@ impl ShardedDb {
         crate::ingest::StreamIngestor::new(self, default_ts, config)
     }
 
-    /// Writes a version-2 snapshot of the whole store to `path`, shards
-    /// serialized in parallel; see [`crate::persist::save_sharded`].
+    /// Exports the whole store into the directory `path` as a chain
+    /// holding only a base (shards exported in parallel); see
+    /// [`crate::chain::export`].
     pub fn save(&self, path: &std::path::Path) -> Result<(), crate::persist::SnapshotError> {
-        crate::persist::save_sharded(self, path)
+        crate::chain::export(self, path)
     }
 
-    /// Loads a version-1 or version-2 snapshot from `path` into a fresh
-    /// engine with `config` (series re-route to the new shard count); see
-    /// [`crate::persist::load_sharded`].
+    /// Loads the checkpoint chain at `path` into a fresh engine with
+    /// `config` (series re-route to the new shard count). Strict: any
+    /// damage is an error; see [`crate::chain::load_chain`].
     pub fn load(
         path: &std::path::Path,
         config: ShardedConfig,
     ) -> Result<Self, crate::persist::SnapshotError> {
-        crate::persist::load_sharded(path, config)
+        crate::chain::load_chain(path, config)
     }
 
     /// The shard index `key` routes to — deterministic for a fixed shard

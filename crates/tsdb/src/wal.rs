@@ -1,8 +1,8 @@
 //! Per-shard append-only write-ahead log for crash durability.
 //!
-//! The engine is in-memory; snapshots ([`crate::persist`]) are whole-store
-//! copies taken at operator-chosen instants. This module closes the gap
-//! between snapshots: every point the ingest pipeline *applies* (i.e. the
+//! The engine is in-memory; checkpoints ([`crate::chain`]) capture it at
+//! operator-chosen instants. This module closes the gap between
+//! checkpoints: every point the ingest pipeline *applies* (i.e. the
 //! post-reorder stream that survived watermark drops and duplicate
 //! filtering) is appended to a per-shard log file before the write is
 //! acknowledged, so a crash loses at most the records behind the
@@ -33,14 +33,15 @@
 //! tail is never appended to. A *checkpoint* is the coordinated sequence
 //!
 //! 1. [`Wal::rotate`] — every shard moves to generation *G+1*;
-//! 2. snapshot save — covers everything in generations ≤ *G*;
+//! 2. chain link + manifest commit — covers everything in generations
+//!    ≤ *G*;
 //! 3. [`Wal::discard_before`]`(G+1)` — delete the covered generations.
 //!
 //! A crash between any two steps is safe because [`replay`] is
-//! idempotent: records already present in the store (e.g. loaded from the
-//! snapshot) are skipped via the engine's strict per-series timestamp
-//! ordering. [`crate::persist::checkpoint_sharded`] packages the
-//! sequence; a snapshot plus the WAL directory's surviving files is
+//! idempotent: records already present in the store (e.g. folded from
+//! the chain) are skipped via the engine's strict per-series timestamp
+//! ordering. [`crate::chain::CheckpointChain::checkpoint`] packages the
+//! sequence; a chain plus the WAL directory's surviving files is
 //! therefore always a complete recovery set.
 //!
 //! # Ordering contract

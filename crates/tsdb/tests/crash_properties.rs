@@ -10,10 +10,6 @@
 //! * flip **every bit position's byte** — corruption must be caught by
 //!   the CRC (or the header plausibility checks) and confined to the
 //!   file tail, never applied, never fatal;
-//! * kill between every step of the checkpoint sequence
-//!   (rotate → snapshot → discard) — each intermediate state must
-//!   recover to the full store, with snapshot overlap skipped rather
-//!   than double-applied;
 //! * feed garbage, empty, and half-header files — replay reports them
 //!   and moves on;
 //! * (property) kill a shuffled-lateness `StreamIngestor` run at an
@@ -272,90 +268,6 @@ fn oracle_of_batches(batches: &[&[(usize, SeriesKey, DataPoint)]]) -> Tsdb {
         })
         .collect();
     oracle_of(&records, 32)
-}
-
-/// Tentpole sweep #3: kill between every step of the checkpoint
-/// sequence (rotate → snapshot save → discard). Each intermediate
-/// on-disk state must recover to the complete store; snapshot overlap is
-/// skipped, never double-applied, and recovery also survives restarting
-/// with a *different* shard count (replay re-routes by the store hash).
-#[test]
-fn a_kill_between_any_checkpoint_step_recovers_the_full_store() {
-    let keys = [
-        SeriesKey::metric("cpu").with_tag("host", "a"),
-        SeriesKey::metric("cpu").with_tag("host", "b"),
-        SeriesKey::metric("disk").with_tag("dev", "sda"),
-    ];
-    let a = batch(&keys, 0, 10);
-    let b = batch(&keys, 1_000, 8);
-    let c = batch(&keys, 2_000, 6);
-
-    // Kill after rotate, before the snapshot save: both generations are
-    // on disk, there is no snapshot, and replay must apply everything.
-    {
-        let root = temp_dir("kill-after-rotate");
-        let wal_dir = root.join("wal");
-        let db = ShardedDb::with_config(ShardedConfig::new(2, 32));
-        let wal = Wal::open(&wal_dir, 2, FsyncPolicy::EveryN(4)).unwrap();
-        apply_batch(&db, &wal, &a);
-        wal.rotate().unwrap();
-        apply_batch(&db, &wal, &b);
-        drop((db, wal)); // crash: no seal, no snapshot
-
-        let (recovered, report) =
-            recover_sharded(None, Some(&wal_dir), ShardedConfig::new(2, 32)).unwrap();
-        assert_eq!(report.applied, (a.len() + b.len()) as u64);
-        assert_eq!(report.skipped, 0);
-        assert_eq!(report.damaged, 0);
-        assert_equiv(&recovered, &oracle_of_batches(&[&a, &b]));
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    // Kill after the snapshot save, before discard: the snapshot already
-    // covers generation 1, whose records replay as skips — never as
-    // duplicates — while the post-rotate generation still applies.
-    {
-        let root = temp_dir("kill-after-snapshot");
-        let wal_dir = root.join("wal");
-        let snap = root.join("snap.bin");
-        let db = ShardedDb::with_config(ShardedConfig::new(2, 32));
-        let wal = Wal::open(&wal_dir, 2, FsyncPolicy::EveryN(4)).unwrap();
-        apply_batch(&db, &wal, &a);
-        wal.rotate().unwrap();
-        apply_batch(&db, &wal, &b);
-        db.save(&snap).unwrap();
-        drop((db, wal)); // crash: discard_before never ran
-
-        let (recovered, report) =
-            recover_sharded(Some(&snap), Some(&wal_dir), ShardedConfig::new(2, 32)).unwrap();
-        assert_eq!(report.skipped, (a.len() + b.len()) as u64);
-        assert_eq!(report.applied, 0);
-        assert_equiv(&recovered, &oracle_of_batches(&[&a, &b]));
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    // Full checkpoint, then more writes, then a kill: snapshot plus the
-    // WAL tail is a complete recovery set — here recovered into a store
-    // with a different shard count than the one that wrote the log.
-    {
-        let root = temp_dir("kill-after-checkpoint");
-        let wal_dir = root.join("wal");
-        let snap = root.join("snap.bin");
-        let db = ShardedDb::with_config(ShardedConfig::new(2, 32));
-        let wal = Wal::open(&wal_dir, 2, FsyncPolicy::EveryN(4)).unwrap();
-        apply_batch(&db, &wal, &a);
-        let boundary = asap_tsdb::checkpoint_sharded(&db, &snap, &wal).unwrap();
-        assert!(wal_files(&wal_dir).unwrap().iter().all(|f| f.generation >= boundary));
-        apply_batch(&db, &wal, &c);
-        drop((db, wal)); // crash after the tail was written
-
-        let (recovered, report) =
-            recover_sharded(Some(&snap), Some(&wal_dir), ShardedConfig::new(5, 32)).unwrap();
-        assert_eq!(report.applied, c.len() as u64);
-        assert_eq!(report.skipped, 0);
-        assert_equiv(&recovered, &oracle_of_batches(&[&a, &c]));
-        fs::remove_dir_all(&root).unwrap();
-    }
 }
 
 /// Garbage in the log directory — empty files, half headers, byte noise,

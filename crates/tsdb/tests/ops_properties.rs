@@ -10,19 +10,18 @@
 //! * pipeline ingest (parser workers → per-shard channels → per-shard
 //!   writers) ≡ serial `line_protocol::ingest` into a [`Tsdb`], for every
 //!   query shape, at any parser/shard/queue/chunk configuration;
-//! * snapshot save→load ≡ identity, across versions (v1 ↔ v2) and shard
-//!   counts, with v2 bytes independent of the writer's shard count;
+//! * export→load ≡ identity across shard counts, with the export's
+//!   files independent of the writer's shard count;
 //! * the sharded compactor ≡ the serial compactor: same reports, same
 //!   store contents, no double-counted rollup buckets, raw eviction never
 //!   ahead of the rollup watermark;
-//! * saving under concurrent writers neither deadlocks nor produces an
-//!   unloadable file, and every loaded series is a prefix of the final
-//!   series.
+//! * exporting under concurrent writers neither deadlocks nor produces
+//!   an unloadable export, and every loaded series is a prefix of the
+//!   final series.
 
 use asap_tsdb::query::Aggregator;
 use asap_tsdb::{
-    line_protocol, load_sharded_snapshot, load_snapshot, pipeline_ingest, rollup_key,
-    save_sharded_snapshot, save_snapshot, Compactor, DataPoint, IngestConfig, RangeQuery,
+    line_protocol, pipeline_ingest, rollup_key, Compactor, DataPoint, IngestConfig, RangeQuery,
     RetentionPolicy, RollupLevel, Selector, SeriesKey, ShardedConfig, ShardedDb, Tsdb,
     TsdbConfig,
 };
@@ -147,6 +146,20 @@ fn full() -> RangeQuery {
     RangeQuery::raw(i64::MIN + 1, i64::MAX)
 }
 
+/// Every file of an export directory, by name.
+fn export_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 proptest! {
     /// Pipeline-ingested sharded store ≡ serially ingested single-shard
     /// oracle, for every query shape.
@@ -198,70 +211,52 @@ proptest! {
         prop_assert_eq!(report_a.points % case.fields.min(FIELD_NAMES.len()), 0);
     }
 
-    /// Snapshot save→load is the identity, across format versions and
-    /// arbitrary source/destination shard counts — including the v1
-    /// (single-shard, sequential) → v2 (sharded, parallel) cross-load —
-    /// and v2 bytes do not depend on the writer's shard count.
+    /// Export→load is the identity at arbitrary source/destination shard
+    /// counts — an export of the sharded store, loaded into any shard
+    /// count, equals the serial oracle — and the export's files (base
+    /// link and `MANIFEST`) do not depend on the writer's shard count.
     #[test]
-    fn snapshots_round_trip_across_versions_and_shard_counts(case in ops_case()) {
+    fn exports_round_trip_across_shard_counts(case in ops_case()) {
         let (sharded, oracle, _) = twin_ingest(&case);
         let dir = std::env::temp_dir().join("asap_tsdb_ops_properties");
         std::fs::create_dir_all(&dir).unwrap();
         let stamp = format!("{}_{}", std::process::id(), case.doc.len());
+        let export = dir.join(format!("{stamp}_export"));
+        let export_single = dir.join(format!("{stamp}_export_single"));
+        for path in [&export, &export_single] {
+            std::fs::remove_dir_all(path).ok();
+        }
 
-        // v2 written by the sharded engine, reloaded at a different shard
-        // count, must equal the oracle.
-        let v2 = dir.join(format!("{stamp}_v2.snap"));
-        save_sharded_snapshot(&sharded, &v2).unwrap();
+        // Written by the sharded engine, reloaded at a different shard
+        // count and at one shard, the export must equal the oracle.
+        sharded.save(&export).unwrap();
         let reload_shards = (case.shards % 6) + 1;
-        let restored =
-            load_sharded_snapshot(&v2, ShardedConfig::new(reload_shards, case.block_capacity))
-                .unwrap();
-        prop_assert_eq!(
-            restored.query_selector(&Selector::any(), full()).unwrap(),
-            oracle.query_selector(&Selector::any(), full()).unwrap()
-        );
-        // Saving flushed the sharded source, so seal boundaries in the
-        // file equal the oracle's post-flush boundaries.
-        oracle.flush().unwrap();
-        prop_assert_eq!(restored.stats(), oracle.stats());
+        for shards in [reload_shards, 1] {
+            let restored =
+                ShardedDb::load(&export, ShardedConfig::new(shards, case.block_capacity))
+                    .unwrap();
+            prop_assert_eq!(
+                restored.query_selector(&Selector::any(), full()).unwrap(),
+                oracle.query_selector(&Selector::any(), full()).unwrap()
+            );
+            // Saving flushed the sharded source, so seal boundaries in
+            // the export equal the oracle's post-flush boundaries.
+            oracle.flush().unwrap();
+            prop_assert_eq!(restored.stats(), oracle.stats());
+        }
 
-        // …and the same v2 file loads into a single-shard Tsdb.
-        let into_tsdb = load_snapshot(&v2, TsdbConfig { block_capacity: case.block_capacity })
-            .unwrap();
-        prop_assert_eq!(
-            into_tsdb.query_selector(&Selector::any(), full()).unwrap(),
-            oracle.query_selector(&Selector::any(), full()).unwrap()
-        );
-
-        // v2 bytes are shard-count-invariant: a single-shard engine with
-        // the same points writes the identical file.
-        let v2_single = dir.join(format!("{stamp}_v2single.snap"));
+        // Export bytes are shard-count-invariant: a single-shard engine
+        // with the same points writes identical files.
         let single = ShardedDb::from_tsdb(
             &oracle,
             ShardedConfig::new(1, case.block_capacity),
         )
         .unwrap();
-        save_sharded_snapshot(&single, &v2_single).unwrap();
-        prop_assert_eq!(
-            std::fs::read(&v2).unwrap(),
-            std::fs::read(&v2_single).unwrap()
-        );
+        single.save(&export_single).unwrap();
+        prop_assert_eq!(export_files(&export), export_files(&export_single));
 
-        // v1 written by the single-shard oracle cross-loads into any
-        // shard count.
-        let v1 = dir.join(format!("{stamp}_v1.snap"));
-        save_snapshot(&oracle, &v1).unwrap();
-        let from_v1 =
-            load_sharded_snapshot(&v1, ShardedConfig::new(case.shards, case.block_capacity))
-                .unwrap();
-        prop_assert_eq!(
-            from_v1.query_selector(&Selector::any(), full()).unwrap(),
-            oracle.query_selector(&Selector::any(), full()).unwrap()
-        );
-
-        for p in [v2, v2_single, v1] {
-            std::fs::remove_file(p).ok();
+        for path in [export, export_single] {
+            std::fs::remove_dir_all(path).ok();
         }
     }
 
@@ -356,9 +351,10 @@ proptest! {
     }
 }
 
-/// A save running against live writers must not deadlock, must produce a
-/// loadable file, and every saved series must be a time-prefix of the
-/// final series (the per-series consistency point `persist` documents).
+/// An export running against live writers must not deadlock, must
+/// produce a loadable export, and every saved series must be a
+/// time-prefix of the final series (the per-series consistency point
+/// `persist` documents).
 #[test]
 fn concurrent_writers_during_save_yield_loadable_prefix_snapshots() {
     let dir = std::env::temp_dir().join("asap_tsdb_ops_properties");
@@ -380,28 +376,18 @@ fn concurrent_writers_during_save_yield_loadable_prefix_snapshots() {
                 }
             });
         }
-        // Race repeated saves (both formats) against the writers.
+        // Race repeated exports against the writers.
         for round in 0..6 {
-            let path = dir.join(format!("live_{}_{round}.snap", std::process::id()));
-            if round % 2 == 0 {
-                save_sharded_snapshot(&db, &path).unwrap();
-            } else {
-                let single = Tsdb::new();
-                // v1 save path races too, via a sharded->serial copy that
-                // itself runs export under live writers.
-                for k in db.list_series(&Selector::any()) {
-                    db.flush().unwrap();
-                    single.import_blocks(&k, db.export_blocks(&k).unwrap()).unwrap();
-                }
-                save_snapshot(&single, &path).unwrap();
-            }
+            let path = dir.join(format!("live_{}_{round}", std::process::id()));
+            std::fs::remove_dir_all(&path).ok();
+            db.save(&path).unwrap();
             snapshots.push(path);
         }
     });
 
     // Writers are done: the final contents are the full runs.
     for path in &snapshots {
-        let restored = load_sharded_snapshot(path, ShardedConfig::new(3, 16)).unwrap();
+        let restored = ShardedDb::load(path, ShardedConfig::new(3, 16)).unwrap();
         for w in 0..WRITERS {
             let k = key(w);
             // A snapshot taken before this series' first seal has no
@@ -421,7 +407,7 @@ fn concurrent_writers_during_save_yield_loadable_prefix_snapshots() {
                 "saved series is not a prefix of the final series ({k})"
             );
         }
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(path).ok();
     }
 }
 

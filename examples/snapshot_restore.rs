@@ -5,19 +5,18 @@
 //! Monitoring backends restart — deploys, crashes, host moves. This
 //! example exercises the durability path of the storage substrate:
 //!
-//! 1. ingest a day of noisy periodic telemetry and snapshot the engine to
-//!    a single file (sealed Gorilla blocks, written compressed);
-//! 2. "restart": load the snapshot into a fresh engine;
+//! 1. ingest a day of noisy periodic telemetry and export the engine to
+//!    a snapshot directory — a checkpoint chain holding only a base link
+//!    (sealed Gorilla blocks, written compressed);
+//! 2. "restart": load the export into a fresh engine with a different
+//!    shard count;
 //! 3. verify the restored data byte-for-byte, resume ingestion where the
 //!    old process stopped, and serve an ASAP-smoothed dashboard query
 //!    spanning the restart boundary;
 //! 4. report the metadata-only `summarize` fast path over the same range.
 
 use asap::core::Asap;
-use asap::tsdb::{
-    load_snapshot, save_snapshot, smooth_query, DataPoint, RangeQuery, SeriesKey, Tsdb,
-    TsdbConfig,
-};
+use asap::tsdb::{smooth_query, DataPoint, RangeQuery, SeriesKey, ShardedConfig, ShardedDb};
 
 const STEP: i64 = 30; // seconds per sample
 
@@ -28,21 +27,20 @@ fn metric(i: i64) -> f64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = std::env::temp_dir().join("asap_snapshot_example");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("telemetry.snap");
+    let path = std::env::temp_dir().join(format!("asap_snapshot_example_{}", std::process::id()));
 
-    // 1. A day of 30-second samples, then snapshot.
+    // 1. A day of 30-second samples, then export.
     let day = 86_400 / STEP;
-    let db = Tsdb::with_config(TsdbConfig {
-        block_capacity: 512,
-    });
+    let db = ShardedDb::with_config(ShardedConfig::new(4, 512));
     let key = SeriesKey::metric("cpu").with_tag("host", "db-1");
     for i in 0..day {
         db.write(&key, DataPoint::new(i * STEP, metric(i)))?;
     }
-    save_snapshot(&db, &path)?;
-    let size = std::fs::metadata(&path)?.len();
+    db.save(&path)?;
+    let mut size = 0;
+    for entry in std::fs::read_dir(&path)? {
+        size += entry?.metadata()?.len();
+    }
     println!(
         "snapshot: {} points -> {:.1} KiB on disk ({:.1} bits/point)",
         day,
@@ -50,8 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         8.0 * size as f64 / day as f64
     );
 
-    // 2. Restart: a fresh engine loads the snapshot.
-    let restored = load_snapshot(&path, TsdbConfig::default())?;
+    // 2. Restart: a fresh engine, with its own shard count, loads the
+    // export.
+    let restored = ShardedDb::load(&path, ShardedConfig::new(2, 512))?;
 
     // 3a. Verify equality.
     let before = db.query(&key, RangeQuery::raw(0, day * STEP))?;
@@ -91,6 +90,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
     Ok(())
 }
