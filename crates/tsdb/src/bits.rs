@@ -5,6 +5,11 @@
 //! module provides the minimal substrate: append bits to a growable buffer,
 //! and read them back sequentially. Bits are packed MSB-first within each
 //! byte, matching the order used by the Gorilla paper's reference layout.
+//!
+//! Multi-bit fields move a word at a time: [`BitWriter::write_bits`] fills
+//! whole bytes per step, and [`BitReader::read_bits`] takes one big-endian
+//! 8-byte load plus a shift. The bytes are exactly those of a bit-by-bit
+//! codec; the tests keep that codec as the reference model.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -70,8 +75,20 @@ impl BitWriter {
     /// Panics if `width > 64`.
     pub fn write_bits(&mut self, value: u64, width: u8) {
         assert!(width <= 64, "bit width {width} exceeds u64");
-        for i in (0..width).rev() {
-            self.write_bit((value >> i) & 1 == 1);
+        // `left` bits of `value` remain to be written; each step moves as
+        // many of them as the final byte has free bits (at most 8).
+        let mut left = width;
+        while left > 0 {
+            if self.used == 0 {
+                self.buf.put_u8(0);
+                self.used = 8;
+            }
+            let take = left.min(self.used);
+            let bits = (value >> (left - take)) as u8 & (0xff >> (8 - take));
+            let last = self.buf.len() - 1;
+            self.buf[last] |= bits << (self.used - take);
+            self.used -= take;
+            left -= take;
         }
     }
 
@@ -125,16 +142,73 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads `width` bits into the low bits of a `u64`, MSB first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64`.
     pub fn read_bits(&mut self, width: u8) -> Result<u64, TsdbError> {
         assert!(width <= 64, "bit width {width} exceeds u64");
-        if self.remaining() < usize::from(width) {
+        let width = usize::from(width);
+        if self.remaining() < width {
+            return Err(TsdbError::CorruptBlock {
+                reason: "bit stream exhausted mid-record",
+            });
+        }
+        if width == 0 {
+            return Ok(0);
+        }
+        // A field starting `shift` bits into its first byte spans at most
+        // nine bytes: the 8-byte word at `pos / 8`, plus the next byte's
+        // top `shift` bits when the field runs past the word. The length
+        // check above keeps every needed byte inside `data`.
+        let byte = self.pos / 8;
+        let shift = self.pos % 8;
+        let mut word = load_be(&self.data[byte..]) << shift;
+        if shift + width > 64 {
+            word |= u64::from(self.data[byte + 8]) >> (8 - shift);
+        }
+        self.pos += width;
+        Ok(word >> (64 - width))
+    }
+}
+
+/// The first 8 bytes of `bytes` as a big-endian word, zero-padded when
+/// fewer remain.
+fn load_be(bytes: &[u8]) -> u64 {
+    match bytes.first_chunk::<8>() {
+        Some(word) => u64::from_be_bytes(*word),
+        None => {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            u64::from_be_bytes(word)
+        }
+    }
+}
+
+/// The bit-at-a-time codec the format was defined with, kept as the
+/// reference model the word-at-a-time paths must match exactly.
+#[cfg(test)]
+mod reference {
+    use super::{BitReader, BitWriter};
+    use crate::error::TsdbError;
+
+    pub fn write_bits(w: &mut BitWriter, value: u64, width: u8) {
+        assert!(width <= 64, "bit width {width} exceeds u64");
+        for i in (0..width).rev() {
+            w.write_bit((value >> i) & 1 == 1);
+        }
+    }
+
+    pub fn read_bits(r: &mut BitReader<'_>, width: u8) -> Result<u64, TsdbError> {
+        assert!(width <= 64, "bit width {width} exceeds u64");
+        if r.remaining() < usize::from(width) {
             return Err(TsdbError::CorruptBlock {
                 reason: "bit stream exhausted mid-record",
             });
         }
         let mut out = 0u64;
         for _ in 0..width {
-            out = (out << 1) | u64::from(self.read_bit()?);
+            out = (out << 1) | u64::from(r.read_bit()?);
         }
         Ok(out)
     }
@@ -143,6 +217,153 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn low_bits(value: u64, width: u8) -> u64 {
+        if width == 64 {
+            value
+        } else {
+            value & ((1 << width) - 1)
+        }
+    }
+
+    /// Bytes and bit count of `fields` written by the word-at-a-time
+    /// writer and by the reference model.
+    fn write_both(fields: &[(u64, u8)]) -> ((Bytes, usize), (Bytes, usize)) {
+        let (mut word, mut bit) = (BitWriter::new(), BitWriter::new());
+        for &(value, width) in fields {
+            word.write_bits(value, width);
+            reference::write_bits(&mut bit, value, width);
+            assert_eq!(word.len_bits(), bit.len_bits());
+        }
+        (word.finish(), bit.finish())
+    }
+
+    #[test]
+    fn every_width_at_every_offset_matches_reference() {
+        let value = 0xa5c3_0f96_5a3c_f069u64;
+        for offset in 0..8u8 {
+            for width in 0..=64u8 {
+                // A prefix of `offset` ones puts the field at that bit
+                // offset; a trailing 3-bit field follows it.
+                let fields = [(u64::MAX, offset), (value, width), (0b101, 3)];
+                let (word, bit) = write_both(&fields);
+                assert_eq!(word, bit, "offset {offset} width {width}");
+                let (bytes, len) = word;
+                let mut r = BitReader::new(&bytes, len);
+                let mut model = BitReader::new(&bytes, len);
+                for &(v, w) in &fields {
+                    let got = r.read_bits(w);
+                    assert_eq!(got, reference::read_bits(&mut model, w));
+                    assert_eq!(got, Ok(low_bits(v, w)), "offset {offset} width {width}");
+                }
+                assert_eq!(r.remaining(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn read_ending_at_len_is_ok_and_one_past_is_corrupt() {
+        for offset in 0..8u8 {
+            for width in 1..=64u8 {
+                let (bytes, len) = write_both(&[(0, offset), (u64::MAX, width)]).0;
+                // Declared one bit short, the field runs past the end: the
+                // read fails and consumes nothing.
+                let mut short = BitReader::new(&bytes, len - 1);
+                short.read_bits(offset).unwrap();
+                assert!(matches!(
+                    short.read_bits(width),
+                    Err(TsdbError::CorruptBlock { .. })
+                ));
+                assert_eq!(short.remaining(), usize::from(width) - 1);
+                // At the full length it ends exactly at `len_bits`.
+                let mut r = BitReader::new(&bytes, len);
+                r.read_bits(offset).unwrap();
+                assert_eq!(r.read_bits(width), Ok(low_bits(u64::MAX, width)));
+                assert_eq!(r.remaining(), 0);
+                assert_eq!(r.read_bits(0), Ok(0));
+                assert!(matches!(
+                    r.read_bits(1),
+                    Err(TsdbError::CorruptBlock { .. })
+                ));
+                assert!(matches!(r.read_bit(), Err(TsdbError::CorruptBlock { .. })));
+            }
+        }
+    }
+
+    #[test]
+    fn padding_bits_are_never_readable() {
+        // Every bit of the buffer is set, so any read that strayed past
+        // the declared length would return ones it must not see.
+        let data = [0xffu8; 11];
+        for len in 0..=data.len() * 8 {
+            for width in 1..=64u8 {
+                let mut r = BitReader::new(&data, len);
+                let mut read = 0;
+                while let Ok(v) = r.read_bits(width) {
+                    assert_eq!(v, low_bits(u64::MAX, width));
+                    read += usize::from(width);
+                }
+                assert_eq!(read, len - len % usize::from(width));
+                assert_eq!(r.remaining(), len % usize::from(width));
+            }
+        }
+    }
+
+    #[test]
+    fn declared_length_beyond_buffer_is_clamped() {
+        let data = [0x80u8, 0x01, 0xff];
+        for len in [24, 25, 64, 1000, usize::MAX] {
+            let mut r = BitReader::new(&data, len);
+            assert_eq!(r.remaining(), 24);
+            assert!(r.clone().read_bits(25).is_err());
+            assert_eq!(r.read_bits(24), Ok(0x8001ff));
+            assert!(matches!(
+                r.read_bits(1),
+                Err(TsdbError::CorruptBlock { .. })
+            ));
+        }
+    }
+
+    proptest! {
+        /// Random `(value, width)` sequences: the word-at-a-time writer
+        /// emits the reference model's bytes and bit count, and the
+        /// word-at-a-time reader reads back the reference's values.
+        #[test]
+        fn word_codec_matches_reference_model(
+            fields in prop::collection::vec((0u64..u64::MAX, 0u8..65), 0..120),
+        ) {
+            let (word, bit) = write_both(&fields);
+            prop_assert_eq!(&word, &bit);
+            let (bytes, len) = word;
+            let mut r = BitReader::new(&bytes, len);
+            let mut model = BitReader::new(&bytes, len);
+            for &(value, width) in &fields {
+                let got = r.read_bits(width);
+                prop_assert_eq!(&got, &reference::read_bits(&mut model, width));
+                prop_assert_eq!(got, Ok(low_bits(value, width)));
+            }
+            prop_assert_eq!(r.remaining(), 0);
+        }
+
+        /// Arbitrary bytes, an arbitrary declared length (possibly past
+        /// the buffer) and arbitrary read widths: both readers agree on
+        /// every value and on where the stream runs out.
+        #[test]
+        fn word_reader_matches_reference_on_arbitrary_input(
+            data in prop::collection::vec(0u16..256, 0..24),
+            len in 0usize..300,
+            widths in prop::collection::vec(0u8..65, 0..40),
+        ) {
+            let data: Vec<u8> = data.into_iter().map(|b| b as u8).collect();
+            let mut r = BitReader::new(&data, len);
+            let mut model = BitReader::new(&data, len);
+            for &width in &widths {
+                prop_assert_eq!(r.read_bits(width), reference::read_bits(&mut model, width));
+                prop_assert_eq!(r.remaining(), model.remaining());
+            }
+        }
+    }
 
     #[test]
     fn single_bits_round_trip() {

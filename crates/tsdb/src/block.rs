@@ -26,6 +26,53 @@ pub struct BlockSummary {
     pub sum: f64,
 }
 
+/// Running [`BlockSummary`] of points pushed in order, checking the two
+/// invariants every block holds: strictly increasing timestamps and
+/// finite values.
+struct SummaryBuilder(BlockSummary);
+
+impl SummaryBuilder {
+    fn new() -> Self {
+        Self(BlockSummary {
+            start: 0,
+            end: 0,
+            count: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            sum: 0.0,
+        })
+    }
+
+    fn push(&mut self, p: DataPoint) -> Result<(), &'static str> {
+        let s = &mut self.0;
+        if !p.value.is_finite() {
+            return Err("non-finite value in block");
+        }
+        if s.count == 0 {
+            s.start = p.timestamp;
+        } else if p.timestamp <= s.end {
+            return Err("block timestamps not strictly increasing");
+        }
+        s.end = p.timestamp;
+        s.count += 1;
+        s.min = s.min.min(p.value);
+        s.max = s.max.max(p.value);
+        s.sum += p.value;
+        Ok(())
+    }
+
+    /// The summary; an empty block is an error.
+    fn finish(self) -> Result<BlockSummary, TsdbError> {
+        if self.0.count == 0 {
+            return Err(TsdbError::InvalidParameter {
+                name: "points",
+                message: "cannot seal an empty block",
+            });
+        }
+        Ok(self.0)
+    }
+}
+
 /// An immutable compressed run of points with skip-scan metadata.
 #[derive(Debug, Clone)]
 pub struct Block {
@@ -39,57 +86,44 @@ impl Block {
     ///
     /// # Errors
     ///
-    /// Returns [`TsdbError::InvalidParameter`] on empty input; ordering and
-    /// finiteness are the ingestion path's invariants and are debug-asserted.
+    /// Returns [`TsdbError::InvalidParameter`] on empty input, on
+    /// timestamps that do not strictly increase and on a non-finite value.
     pub fn seal(points: &[DataPoint]) -> Result<Self, TsdbError> {
-        let (first, last) = match (points.first(), points.last()) {
-            (Some(f), Some(l)) => (f, l),
-            _ => {
-                return Err(TsdbError::InvalidParameter {
-                    name: "points",
-                    message: "cannot seal an empty block",
-                })
-            }
+        let invalid = |message| TsdbError::InvalidParameter {
+            name: "points",
+            message,
         };
         let mut enc = GorillaEncoder::new();
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut prev_ts = None;
+        let mut summary = SummaryBuilder::new();
         for &p in points {
-            debug_assert!(p.value.is_finite(), "ingestion must reject non-finite values");
-            if let Some(prev) = prev_ts {
-                debug_assert!(p.timestamp > prev, "ingestion must reject out-of-order points");
-            }
-            prev_ts = Some(p.timestamp);
-            min = min.min(p.value);
-            max = max.max(p.value);
-            sum += p.value;
+            summary.push(p).map_err(invalid)?;
             enc.append(p);
         }
         Ok(Self {
-            summary: BlockSummary {
-                start: first.timestamp,
-                end: last.timestamp,
-                count: points.len(),
-                min,
-                max,
-                sum,
-            },
+            summary: summary.finish()?,
             chunk: enc.finish(),
         })
     }
 
-    /// Rebuilds a block from its compressed payload, recomputing the
-    /// summary by decoding (which also validates the payload).
+    /// Rebuilds a block from its compressed payload, computing the summary
+    /// in the same pass that decodes and validates it. The payload is kept
+    /// as it is, never re-encoded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TsdbError::CorruptBlock`] when the payload does not
+    /// decode, or decodes into timestamps that do not strictly increase
+    /// or a non-finite value; [`TsdbError::InvalidParameter`] when it
+    /// holds no points.
     pub fn from_chunk(chunk: CompressedChunk) -> Result<Self, TsdbError> {
-        let points = chunk.decode()?;
-        let block = Self::seal(&points)?;
-        // Keep the original payload rather than the re-encoded one; they
-        // are byte-identical for a valid chunk, and this avoids surprises
-        // if future encoder versions change bit layouts.
+        let mut summary = SummaryBuilder::new();
+        for p in chunk.iter() {
+            summary
+                .push(p?)
+                .map_err(|reason| TsdbError::CorruptBlock { reason })?;
+        }
         Ok(Self {
-            summary: block.summary,
+            summary: summary.finish()?,
             chunk,
         })
     }
@@ -137,6 +171,18 @@ impl Block {
     /// Decompresses only the points with timestamps in `[start, end)`.
     pub fn decode_range(&self, start: i64, end: i64) -> Result<Vec<DataPoint>, TsdbError> {
         let mut out = Vec::new();
+        self.decode_range_into(start, end, &mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the points with timestamps in `[start, end)` to `out`. On
+    /// error `out` may hold some of the block's points.
+    pub fn decode_range_into(
+        &self,
+        start: i64,
+        end: i64,
+        out: &mut Vec<DataPoint>,
+    ) -> Result<(), TsdbError> {
         for p in self.chunk.iter() {
             let p = p?;
             if p.timestamp >= end {
@@ -146,13 +192,14 @@ impl Block {
                 out.push(p);
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitWriter;
 
     fn sample(n: i64) -> Vec<DataPoint> {
         (0..n).map(|i| DataPoint::new(i * 10, (i as f64) * 0.5)).collect()
@@ -219,6 +266,107 @@ mod tests {
         assert_eq!(b.summary().min, 3.5);
         assert_eq!(b.summary().max, 3.5);
         assert_eq!(b.decode().unwrap(), vec![DataPoint::new(7, 3.5)]);
+    }
+
+    /// A chunk of `count` points whose bit stream `write` builds by hand.
+    fn hand_chunk(count: usize, write: impl FnOnce(&mut BitWriter)) -> CompressedChunk {
+        let mut w = BitWriter::new();
+        write(&mut w);
+        let (data, len_bits) = w.finish();
+        CompressedChunk {
+            data,
+            len_bits,
+            count,
+        }
+    }
+
+    fn assert_corrupt(chunk: CompressedChunk, expected: &str) {
+        match Block::from_chunk(chunk) {
+            Err(TsdbError::CorruptBlock { reason }) => assert_eq!(reason, expected),
+            other => panic!("expected CorruptBlock({expected}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn from_chunk_keeps_payload_and_matches_seal_summary() {
+        let pts: Vec<_> = (0..300)
+            .map(|i| DataPoint::new(i * 7 - 1000, ((i as f64) / 9.0).sin()))
+            .collect();
+        let sealed = Block::seal(&pts).unwrap();
+        let loaded = Block::from_chunk(sealed.chunk().clone()).unwrap();
+        assert_eq!(loaded.summary(), sealed.summary());
+        assert_eq!(loaded.chunk(), sealed.chunk());
+        assert!(matches!(
+            Block::from_chunk(GorillaEncoder::new().finish()),
+            Err(TsdbError::InvalidParameter { .. })
+        ));
+    }
+
+    #[test]
+    fn from_chunk_rejects_non_increasing_timestamps() {
+        // Header (ts 100, value 1.0), then a delta-of-delta of 0 on a zero
+        // delta: the second point repeats timestamp 100.
+        let repeated = hand_chunk(2, |w| {
+            w.write_bits(100, 64);
+            w.write_bits(1.0f64.to_bits(), 64);
+            w.write_bit(false); // dod = 0
+            w.write_bit(false); // same value
+        });
+        assert_corrupt(repeated, "block timestamps not strictly increasing");
+        // A 64-bit escape record steps back by 5.
+        let backwards = hand_chunk(2, |w| {
+            w.write_bits(100, 64);
+            w.write_bits(1.0f64.to_bits(), 64);
+            w.write_bits(0b1111, 4);
+            w.write_bits(-5i64 as u64, 64);
+            w.write_bit(false);
+        });
+        assert_corrupt(backwards, "block timestamps not strictly increasing");
+    }
+
+    #[test]
+    fn from_chunk_rejects_non_finite_values() {
+        let nan_header = hand_chunk(1, |w| {
+            w.write_bits(0, 64);
+            w.write_bits(f64::NAN.to_bits(), 64);
+        });
+        assert_corrupt(nan_header, "non-finite value in block");
+        // 1.0 XOR +inf = 1 << 62: a new window of leading 1, width 1.
+        let infinite_second = hand_chunk(2, |w| {
+            w.write_bits(0, 64);
+            w.write_bits(1.0f64.to_bits(), 64);
+            w.write_bits(0b10, 2);
+            w.write_bits(1 + 63, 7); // dod = 1
+            w.write_bits(0b11, 2); // non-zero XOR, new window
+            w.write_bits(1, 5);
+            w.write_bits(0, 6); // width - 1
+            w.write_bits(1, 1);
+        });
+        assert_corrupt(infinite_second, "non-finite value in block");
+    }
+
+    #[test]
+    fn seal_rejects_what_from_chunk_rejects() {
+        for points in [
+            vec![DataPoint::new(5, 1.0), DataPoint::new(5, 2.0)],
+            vec![DataPoint::new(5, 1.0), DataPoint::new(4, 2.0)],
+            vec![DataPoint::new(5, f64::INFINITY)],
+            vec![DataPoint::new(5, 1.0), DataPoint::new(6, f64::NAN)],
+        ] {
+            assert!(matches!(
+                Block::seal(&points),
+                Err(TsdbError::InvalidParameter { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn decode_range_into_appends() {
+        let b = Block::seal(&sample(20)).unwrap(); // ts 0,10,...,190
+        let mut out = vec![DataPoint::new(-1, 0.0)];
+        b.decode_range_into(30, 60, &mut out).unwrap();
+        let ts: Vec<_> = out.iter().map(|p| p.timestamp).collect();
+        assert_eq!(ts, vec![-1, 30, 40, 50]);
     }
 
     #[test]

@@ -95,8 +95,10 @@ impl GorillaEncoder {
     }
 
     fn append_timestamp(&mut self, ts: i64) {
-        let delta = ts - self.prev_ts;
-        let dod = delta - self.prev_delta;
+        // Deltas are taken modulo 2^64, as the decoder undoes them, so a
+        // span wider than `i64::MAX` still round-trips exactly.
+        let delta = ts.wrapping_sub(self.prev_ts);
+        let dod = delta.wrapping_sub(self.prev_delta);
         match dod {
             0 => self.bits.write_bit(false),
             -63..=64 => {
@@ -270,8 +272,10 @@ impl<'a> GorillaDecoder<'a> {
         } else {
             self.bits.read_bits(64)? as i64
         };
-        self.prev_delta += dod;
-        self.prev_ts += self.prev_delta;
+        // Wrapping, as in the encoder: a corrupt record yields a wrong
+        // timestamp (which `Block::from_chunk` rejects), never a panic.
+        self.prev_delta = self.prev_delta.wrapping_add(dod);
+        self.prev_ts = self.prev_ts.wrapping_add(self.prev_delta);
         Ok(self.prev_ts)
     }
 
@@ -396,6 +400,16 @@ mod tests {
             DataPoint::new(i64::MIN / 2, 1.0),
             DataPoint::new(0, 2.0),
             DataPoint::new(i64::MAX / 2, 3.0),
+        ];
+        round_trip(&points);
+    }
+
+    #[test]
+    fn full_i64_span_round_trips() {
+        let points = [
+            DataPoint::new(i64::MIN, 1.0),
+            DataPoint::new(-1, 2.0),
+            DataPoint::new(i64::MAX, 3.0),
         ];
         round_trip(&points);
     }

@@ -137,13 +137,15 @@ impl SeriesStore {
         if start >= end {
             return Ok(Vec::new());
         }
-        let mut out = Vec::new();
-        for block in &self.blocks {
-            if block.overlaps(start, end) {
-                out.extend(block.decode_range(start, end)?);
-            }
+        // Decode straight into one output sized from the block summaries
+        // (an upper bound: boundary blocks contribute only part).
+        let overlapping = || self.blocks.iter().filter(|b| b.overlaps(start, end));
+        let tail = self.memtable.range(start, end);
+        let mut out = Vec::with_capacity(overlapping().map(Block::len).sum::<usize>() + tail.len());
+        for block in overlapping() {
+            block.decode_range_into(start, end, &mut out)?;
         }
-        out.extend_from_slice(self.memtable.range(start, end));
+        out.extend_from_slice(tail);
         Ok(out)
     }
 

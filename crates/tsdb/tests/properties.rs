@@ -6,11 +6,13 @@
 //! * a [`SeriesStore`] scan equals the brute-force filter of the written
 //!   points regardless of where block seals fall;
 //! * bucketed mean aggregation equals the brute-force per-bucket mean;
-//! * fill policies produce complete grids with the declared semantics.
+//! * fill policies produce complete grids with the declared semantics;
+//! * the Gorilla payload bytes are pinned, and decoding a truncated or
+//!   bit-flipped payload reports corruption instead of panicking.
 
 use asap_tsdb::query::{Aggregator, FillPolicy, RangeQuery};
 use asap_tsdb::series::SeriesStore;
-use asap_tsdb::{DataPoint, GorillaEncoder};
+use asap_tsdb::{Block, CompressedChunk, DataPoint, GorillaEncoder, TsdbError};
 use proptest::prelude::*;
 
 /// Strategy: a strictly-increasing timestamp sequence with finite values.
@@ -252,5 +254,197 @@ proptest! {
                 prop_assert!((s.sum - sum).abs() <= tol);
             }
         }
+    }
+}
+
+/// FNV-1a over `bytes`: a hash with a fixed definition, so a pinned
+/// constant means the same bytes on every toolchain.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// A fixed point sequence that reaches every Gorilla record kind:
+/// negative timestamps crossing zero; delta-of-delta records in all
+/// four tagged buckets and the 64-bit escape (including a 2^40 jump);
+/// special floats (±0, subnormal, extremes, ±∞, NaN); and values that
+/// repeat or drift inside one XOR window, interleaved with magnitude
+/// jumps that force a new window.
+fn golden_points() -> Vec<DataPoint> {
+    // xorshift64: the sequence depends on nothing but this seed.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let specials = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 8.0, // subnormal
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    let mut points = Vec::new();
+    let mut ts = -20_000i64;
+    for i in 0..640usize {
+        let jitter = (next() % 4) as i64;
+        let gap = match i % 40 {
+            9 => 10 + (next() % 200) as i64,              // 9-bit bucket
+            19 => 10 + (next() % 1_500) as i64,           // 12-bit bucket
+            29 => 10 + 4_000 + (next() % 100_000) as i64, // 64-bit escape
+            _ => 10 + jitter,                             // 0 or 7-bit bucket
+        };
+        ts += if i == 320 { 1 << 40 } else { gap };
+        // Runs of four repeat a value (XOR zero), except for some noise.
+        let noise = if i % 4 == 3 {
+            (next() % 8) as f64 * 1e-9
+        } else {
+            0.0
+        };
+        let drift = 1_000.0 + (i / 4) as f64 * 0.001 + noise;
+        let value = match i % 64 {
+            16 => 1.0e-300 * (1 + next() % 9) as f64, // new window
+            48 => -((1u64 << 50) as f64),             // new window
+            32 => specials[(i / 64) % specials.len()],
+            _ => drift, // mostly a reused window
+        };
+        points.push(DataPoint::new(ts, value));
+    }
+    points
+}
+
+/// How often each record kind occurs when `points` is encoded, by the
+/// encoder's own choice rules: delta-of-delta buckets `0`, 7-, 9-,
+/// 12-bit and the 64-bit escape, then XOR records equal, reused window
+/// and new window.
+fn record_kinds(points: &[DataPoint]) -> [usize; 8] {
+    let mut kinds = [0; 8];
+    let (mut prev_delta, mut window) = (0i64, None::<(u32, u32)>);
+    for pair in points.windows(2) {
+        let delta = pair[1].timestamp - pair[0].timestamp;
+        let dod = delta - prev_delta;
+        prev_delta = delta;
+        kinds[match dod {
+            0 => 0,
+            -63..=64 => 1,
+            -255..=256 => 2,
+            -2047..=2048 => 3,
+            _ => 4,
+        }] += 1;
+        let xor = pair[1].value.to_bits() ^ pair[0].value.to_bits();
+        let (leading, trailing) = (xor.leading_zeros().min(31), xor.trailing_zeros());
+        kinds[match window {
+            _ if xor == 0 => 5,
+            Some((l, t)) if leading >= l && trailing >= t => 6,
+            _ => {
+                window = Some((leading, trailing));
+                7
+            }
+        }] += 1;
+    }
+    kinds
+}
+
+/// The on-disk Gorilla format is pinned: chain base and delta links
+/// hold these payloads, so existing chains must keep decoding and new
+/// writes must match old ones byte for byte. The constants were
+/// produced by the bit-at-a-time codec this format was defined with.
+#[test]
+fn gorilla_payload_bytes_are_pinned() {
+    let points = golden_points();
+    assert!(points.first().unwrap().timestamp < 0 && points.last().unwrap().timestamp > 0);
+    let kinds = record_kinds(&points);
+    assert!(
+        kinds.iter().all(|&n| n > 0),
+        "every record kind is reached: {kinds:?}"
+    );
+    let mut enc = GorillaEncoder::new();
+    for &p in &points {
+        enc.append(p);
+    }
+    let chunk = enc.finish();
+    assert_eq!(chunk.len_bits, 28_674);
+    assert_eq!(chunk.data.len(), 3_585);
+    assert_eq!(fnv1a(&chunk.data), 0xca94_e520_eaba_4e2e);
+    let decoded = chunk.decode().unwrap();
+    assert_eq!(decoded.len(), points.len());
+    for (a, b) in decoded.iter().zip(&points) {
+        assert_eq!(
+            (a.timestamp, a.value.to_bits()),
+            (b.timestamp, b.value.to_bits())
+        );
+    }
+}
+
+/// A realistic chunk: a jittered 10 s cadence with occasional gaps large
+/// enough for the 12-bit and 64-bit delta-of-delta records, and a noisy
+/// sine rounded to 3 decimals (reused and new XOR windows).
+fn telemetry_chunk(n: i64) -> CompressedChunk {
+    let mut enc = GorillaEncoder::new();
+    let mut ts = 1_600_000_000i64;
+    for i in 0..n {
+        ts += match i % 97 {
+            50 => 1_500,
+            96 => 1_000_000,
+            _ => 10 + i % 3,
+        };
+        let v = 50.0 + 10.0 * ((i as f64) / 30.0).sin() + ((i * 7919) % 13) as f64 * 0.01;
+        enc.append(DataPoint::new(ts, (v * 1000.0).round() / 1000.0));
+    }
+    enc.finish()
+}
+
+/// Decoding a damaged payload either succeeds or reports
+/// `CorruptBlock`, through the raw decoder and through the validating
+/// `Block::from_chunk`; it never panics.
+fn assert_decode_is_total(chunk: &CompressedChunk, case: &str) {
+    match chunk.decode() {
+        Ok(points) => assert_eq!(points.len(), chunk.count, "{case}"),
+        Err(e) => assert!(matches!(e, TsdbError::CorruptBlock { .. }), "{case}: {e:?}"),
+    }
+    match Block::from_chunk(chunk.clone()) {
+        Ok(block) => assert_eq!(block.len(), chunk.count, "{case}"),
+        Err(e) => assert!(matches!(e, TsdbError::CorruptBlock { .. }), "{case}: {e:?}"),
+    }
+}
+
+#[test]
+fn block_decode_is_total_under_truncation() {
+    let chunk = telemetry_chunk(400);
+    for len_bits in 0..=chunk.len_bits {
+        let truncated = CompressedChunk {
+            data: chunk.data.slice(..len_bits.div_ceil(8)),
+            len_bits,
+            count: chunk.count,
+        };
+        assert_decode_is_total(&truncated, &format!("len_bits {len_bits}"));
+        if len_bits < chunk.len_bits {
+            assert!(
+                truncated.decode().is_err(),
+                "len_bits {len_bits} cannot hold every point"
+            );
+        }
+    }
+    assert_eq!(Block::from_chunk(chunk.clone()).unwrap().len(), 400);
+}
+
+#[test]
+fn block_decode_is_total_under_bit_flips() {
+    let chunk = telemetry_chunk(100);
+    for bit in 0..chunk.data.len() * 8 {
+        let mut data = chunk.data.to_vec();
+        data[bit / 8] ^= 0x80 >> (bit % 8);
+        let flipped = CompressedChunk {
+            data: data.into(),
+            ..chunk.clone()
+        };
+        assert_decode_is_total(&flipped, &format!("bit {bit} flipped"));
     }
 }
